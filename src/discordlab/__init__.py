@@ -34,7 +34,6 @@ from .families import (
     s_max,
 )
 from .linalg import (
-    NoConvergence,
     NonHermitianInput,
     SizeMismatch,
     hermitian_eigenvalues,
@@ -48,6 +47,7 @@ from .measures import (
     XCoefficients,
     d1_closed_x,
     d1_oracle,
+    d1_x_kernel,
     d1_x_with_method,
     d2_closed,
     d2_oracle,

@@ -156,7 +156,7 @@ def _measure_row(rho, cfg) -> list:
     except states.NotXShaped:
         d1, method = measures.d1_oracle(rho, cfg.oracle_grid, cfg.oracle_refine)[0], "oracle"
     else:
-        d1, method = measures.d1_x_with_method(xs, cfg.oracle_grid, cfg.oracle_refine)
+        d1, method = measures.d1_x_with_method(xs)
     neg = measures.negativity(rho)
     return [fmt(d1), fmt(d2), fmt(np.sqrt(d2)), fmt(neg), method]
 
@@ -198,7 +198,7 @@ def _figure_rows(n, cfg):
         for theta in np.linspace(0.0, np.pi / 2, cfg.n_points):
             rho = families.make_state(families.FamilyParams("theta", theta=float(theta)))
             d2 = measures.d2_closed(rho)
-            d1 = measures.d1_x_with_method(states.to_x_state(rho), cfg.oracle_grid, cfg.oracle_refine)[0]
+            d1 = measures.d1_x_with_method(states.to_x_state(rho))[0]
             rows.append([fmt(theta), fmt(measures.negativity(rho)), fmt(np.sqrt(d2)), fmt(d1)])
         return rows
     family, w, s = FIGURE_STATES[n]

@@ -26,8 +26,9 @@ functions evolve as
     side B:  a3(t) = 2 (r11 - r33) e^{-g t} - 2 (r11 + r22) + 1
              x(t)  = 2 (r11 + r22) - 1            (constant)
 
-(g = gamma0), feeding the same D1 formula as `measures`.  D2 is the
-minimum of three explicit quadratics in e^{-g t} (f1/f2/f3 below).
+(g = gamma0).  Together with B = 16 r14 r23 e^{-g t} they feed the X-state
+D1 kernel `measures.d1_x_kernel`.  D2 is the minimum of three explicit
+quadratics in e^{-g t} (f1/f2/f3 below).
 
 "Increases" for the regime report is operationalized as: the curve
 exceeds its t = 0 value by more than 1e-9 somewhere on
@@ -164,16 +165,6 @@ def make_state(p: FamilyParams) -> np.ndarray:
     return states.from_x_state(states.XState(r11, r22, r33, r44, r14, r23))
 
 
-def _evolved_elements(el, side: str, gt: float):
-    """X-state entries after emission on one side for dimensionless time gt."""
-    r11, r22, r33, r44, r14, r23 = el
-    u = math.exp(-gt)
-    su = math.exp(-gt / 2.0)
-    if side == "A":
-        return (u * r11, u * r22, (1 - u) * r11 + r33, (1 - u) * r22 + r44, su * r14, su * r23)
-    return (u * r11, (1 - u) * r11 + r22, u * r33, (1 - u) * r33 + r44, su * r14, su * r23)
-
-
 def _coefficients(el, side: str, gt: np.ndarray):
     """Vectorized (a1, a2, a3, x) over dimensionless times gt."""
     r11, r22, r33, r44, r14, r23 = el
@@ -191,22 +182,9 @@ def _coefficients(el, side: str, gt: np.ndarray):
 
 
 def _d1_values(el, side: str, gt: np.ndarray) -> np.ndarray:
-    a1, a2, a3, x = _coefficients(el, side, gt)
-    aa = np.maximum(a3 * a3, a2 * a2 + x * x)
-    bb = np.minimum(a3 * a3, a1 * a1)
-    den = aa - bb + a1 * a1 - a2 * a2
-    num = aa * a1 * a1 - bb * a2 * a2
-    vals = np.zeros_like(den)
-    ok = den > 1e-12
-    vals[ok] = np.sqrt(np.clip(num[ok], 0.0, None) / den[ok])
-    for idx in np.nonzero(~ok)[0]:
-        if abs(num[idx]) < 1e-20:
-            vals[idx] = 0.0
-        else:
-            # degenerate branch: evaluate the evolved state directly
-            xs = states.XState(*_evolved_elements(el, side, float(gt[idx])))
-            vals[idx] = measures.d1_closed_x(xs)
-    return vals
+    # B from the coherences: forming it as a1^2 - a2^2 would cancel
+    B = 16.0 * el[4] * el[5] * np.exp(-gt)
+    return measures.d1_x_kernel(*_coefficients(el, side, gt), B)
 
 
 def _d2_values(el, side: str, gt: np.ndarray) -> np.ndarray:

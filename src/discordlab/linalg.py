@@ -9,12 +9,9 @@ with the excited state first, so sigma_z |e> = +|e> and
 kron(PAULI_Z, I2) = diag(1, 1, -1, -1).  Supported sizes are 2x2, 3x3
 and 4x4; anything else is rejected.
 
-Hermitian eigenvalues are computed with a cyclic Jacobi iteration.  A
-complex Hermitian input H = A + iB is embedded into the real symmetric
-matrix [[A, -B], [B, A]], whose spectrum is that of H with every value
-doubled; real inputs are handled directly.  The iteration symmetrizes
-its input once, sweeps all index pairs until the off-diagonal Frobenius
-norm drops below 1e-13 on unit scale, and gives up after 100 sweeps.
+Hermitian eigenvalues come from LAPACK through `np.linalg.eigvalsh`,
+after a Hermiticity check and one symmetrization of the input; the same
+solver serves the brute-force oracles in `measures`.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import numpy as np
 __all__ = [
     "SizeMismatch",
     "NonHermitianInput",
-    "NoConvergence",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -51,10 +47,6 @@ class NonHermitianInput(ValueError):
     """Hermiticity defect exceeds the caller's tolerance."""
 
 
-class NoConvergence(RuntimeError):
-    """Jacobi sweep budget exhausted before the off-diagonal norm converged."""
-
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -65,9 +57,6 @@ I4 = np.eye(4, dtype=complex)
 # lowering |g><e| and raising |e><g| in the excited-first basis
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-_SWEEP_BUDGET = 100
-_OFF_THRESHOLD = 1e-13
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -84,75 +73,17 @@ def _as_square(m, sizes=(2, 3, 4)) -> np.ndarray:
     return a
 
 
-def _jacobi_real_symmetric(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Returns the diagonal after convergence, unsorted.  Raises
-    NoConvergence if 100 sweeps do not push the off-diagonal Frobenius
-    norm below 1e-13 relative to the input scale.
-    """
-    a = a.copy()
-    n = a.shape[0]
-    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
-    threshold = _OFF_THRESHOLD * scale
-    skip = 1e-18 * scale
-    for _ in range(_SWEEP_BUDGET):
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-        if off <= threshold:
-            return np.diagonal(a).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                # classic stable rotation: tan(2*phi) = 2 a_pq / (a_qq - a_pp)
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NoConvergence(
-        f"off-diagonal norm did not reach {threshold:g} within {_SWEEP_BUDGET} sweeps"
-    )
-
-
 def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian 2x2/3x3/4x4 matrix.
 
     The input is checked against `tol` for Hermiticity (largest modulus
-    of m - m^dagger), symmetrized, and diagonalized by cyclic Jacobi
-    rotations; complex inputs go through the real symmetric embedding.
+    of m - m^dagger), symmetrized, and diagonalized by `np.linalg.eigvalsh`.
     """
     a = _as_square(m)
     defect = float(np.max(np.abs(a - dagger(a))))
     if defect > tol:
         raise NonHermitianInput(f"hermiticity defect {defect:g} exceeds tol {tol:g}")
-    h = 0.5 * (a + dagger(a))
-    re, im = h.real, h.imag
-    if not np.any(im):
-        vals = _jacobi_real_symmetric(re)
-        return np.sort(vals)
-    n = h.shape[0]
-    embed = np.empty((2 * n, 2 * n))
-    embed[:n, :n] = re
-    embed[:n, n:] = -im
-    embed[n:, :n] = im
-    embed[n:, n:] = re
-    doubled = np.sort(_jacobi_real_symmetric(embed))
-    # spectrum of the embedding is the Hermitian spectrum, each value twice
-    return doubled[::2].copy()
+    return np.linalg.eigvalsh(0.5 * (a + dagger(a)))
 
 
 def trace_norm(m, tol: float = 1e-10) -> float:

@@ -12,13 +12,17 @@ version has a closed form on the non-negative X class in terms of
     x  = 2 (r11 + r22) - 1,
     a  = max(a3^2, a2^2 + x^2),  b = min(a3^2, a1^2),
 
-    D1 = sqrt((a a1^2 - b a2^2) / (a - b + a1^2 - a2^2)),
+written as the weighted mean (Ciccarello, Tufarelli & Giovannetti 2014)
 
-which degenerates when x = 0 and |a1| = |a2| = |a3| (and numerically
-when the denominator vanishes); those cases fall back to the
-brute-force oracle.  Both oracles scan a Fibonacci lattice of
-measurement axes and refine the best grid point with a Nelder-Mead
-simplex, which keeps them independent of every closed form here.
+    D1^2 = (a1^2 A + b B) / (A + B),  A = a - b >= 0,  B = 16 r14 r23 >= 0,
+
+where B = a1^2 - a2^2 is formed from the coherences, so nothing
+cancels.  Both weights vanish on the degenerate set x = 0,
+|a1| = |a2| = |a3|, where the limit D1 = |a1| (the middle |c_i| of
+Paula, de Oliveira & Sarandy 2013) applies; every X state thus takes the
+closed form.  Both oracles scan a Fibonacci lattice of measurement axes
+and refine the best grid point with a Nelder-Mead simplex, which keeps
+them independent of every closed form here.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "measure_map",
     "d2_closed",
     "is_degenerate_x",
+    "d1_x_kernel",
     "d1_closed_x",
     "d1_x_with_method",
     "negativity",
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 _PAULI_STACK = np.stack(PAULIS)  # (3, 2, 2)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -110,11 +116,11 @@ def d2_closed(rho) -> float:
 
 
 def is_degenerate_x(xs: states.XState, tol: float = 1e-10) -> bool:
-    """True on the branch where the X closed form for D1 is invalid.
+    """True on the degenerate set of the X closed form for D1.
 
-    The branch needs x = 0 and three coefficients of equal, nonzero
-    magnitude; when everything vanishes the state carries no discord and
-    the closed form applies with value 0.
+    The set is x = 0 with three coefficients of equal, nonzero magnitude;
+    both weights of the closed form vanish there and D1 takes its limit
+    |a1|.  This is a predicate only: every X state takes the closed form.
     """
     c = XCoefficients.from_x_state(xs)
     mags = (abs(c.a1), abs(c.a2), abs(c.a3))
@@ -126,37 +132,46 @@ def is_degenerate_x(xs: states.XState, tol: float = 1e-10) -> bool:
     )
 
 
-def _d1_formula(c: XCoefficients):
-    """Closed-form D1 from coefficients, or None when the denominator vanishes."""
-    den = c.a - c.b + c.a1 * c.a1 - c.a2 * c.a2
-    if abs(den) < 1e-12:
-        return None
-    num = c.a * c.a1 * c.a1 - c.b * c.a2 * c.a2
-    return float(np.sqrt(max(num, 0.0) / den))
+def d1_x_kernel(a1, a2, a3, x, B):
+    """Trace-norm discord of X states from their coefficients, elementwise.
+
+    Takes floats or equal-shape arrays of a1, a2, a3, x and
+    B = 16 r14 r23 = a1^2 - a2^2 >= 0, and returns
+    sqrt((a1^2 A + b B) / (A + B)) with A = a - b, or |a1| where A + B = 0.
+    """
+    # reuse names so that a long scan holds at most five buffers, and stay
+    # off out= arguments, which would force scalar input through 0-d arrays
+    d1sq = np.square(a1)
+    b = np.square(a3)
+    wt = np.square(a2)
+    wt += np.square(x)
+    wt = np.maximum(wt, b)  # a
+    b = np.minimum(b, d1sq)  # b
+    wt -= b  # A = a - b
+    d1sq *= wt
+    d1sq += b * B  # a1^2 A + b B
+    wt += B  # A + B
+    d1sq /= np.maximum(wt, _TINY)
+    # a mean of a1^2 and b <= a1^2 never falls below b; where A + B = 0 the
+    # quotient reads 0, and this floor returns b, which equals a1^2 there
+    return np.sqrt(np.maximum(d1sq, b))
 
 
-def d1_x_with_method(
-    xs: states.XState, grid: int = 2000, refine_iters: int = 200
-) -> tuple[float, str]:
+def d1_x_with_method(xs: states.XState) -> tuple[float, str]:
     """Trace-norm discord of an X state with the evaluation route used.
 
-    Returns (value, "closed-x") off the degenerate branch and
-    (value, "oracle") when the closed form is invalid there.
+    The closed form holds on the whole X class, so the route is always
+    "closed-x".
     """
     c = XCoefficients.from_x_state(xs)
-    if max(abs(c.x), abs(c.a1), abs(c.a2), abs(c.a3)) <= 1e-10:
-        return 0.0, "closed-x"
-    if not is_degenerate_x(xs):
-        val = _d1_formula(c)
-        if val is not None:
-            return val, "closed-x"
-    val, _axis = d1_oracle(states.from_x_state(xs), grid=grid, refine_iters=refine_iters)
-    return val, "oracle"
+    # XState admits coherences down to -1e-12; the kernel needs B >= 0
+    B = max(16.0 * xs.r14 * xs.r23, 0.0)
+    return float(d1_x_kernel(c.a1, c.a2, c.a3, c.x, B)), "closed-x"
 
 
-def d1_closed_x(xs: states.XState, grid: int = 2000, refine_iters: int = 200) -> float:
-    """Trace-norm discord of an X state (oracle fallback on the degenerate branch)."""
-    return d1_x_with_method(xs, grid=grid, refine_iters=refine_iters)[0]
+def d1_closed_x(xs: states.XState) -> float:
+    """Trace-norm discord of an X state in closed form."""
+    return d1_x_with_method(xs)[0]
 
 
 def negativity(rho) -> float:
@@ -196,8 +211,7 @@ def _d2_objective(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 def _d1_objective(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
     delta = rho[None, :, :] - _measured_batch(rho, axes)
-    # numpy's batched eigensolver keeps this path independent of the
-    # package's own Jacobi kernel and fast enough for dense grids
+    # one batched eigvalsh over the whole grid keeps dense grids fast
     return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=1)
 
 

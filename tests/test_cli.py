@@ -75,8 +75,8 @@ def test_measure_bell_state(tmp_path, capsys):
     assert code == 0
     _, rows = rows_of(out)
     d1, d2, _, neg, method = rows[0]
-    assert method == "oracle"
-    assert abs(float(d1) - 1.0) < 1e-5
+    assert method == "closed-x"
+    assert abs(float(d1) - 1.0) < 1e-12
     assert abs(float(d2) - 1.0) < 1e-12
     assert abs(float(neg) - 1.0) < 1e-12
 

@@ -106,6 +106,8 @@ def test_d1_closed_examples():
     rho_d = families.make_state(families.FamilyParams("discordant", w=0.2, s=0.2))
     expected = 0.16 / np.sqrt(0.68)
     assert abs(d1_closed_x(to_x_state(rho_d)) - expected) < 1e-12
+    # r14 = 1e-9 puts this state next to the degenerate set x = 0, |a1| = |a2| = |a3|
+    assert abs(d1_closed_x(XState(0.1, 0.4, 0.4, 0.1, 1e-9, 0.3)) - 0.6) <= 4e-16
 
 
 def test_d1_method_flags():
@@ -119,7 +121,7 @@ def test_d1_method_flags():
     bell = to_x_state(bell_phi_plus())
     assert is_degenerate_x(bell)
     val, method = d1_x_with_method(bell)
-    assert method == "oracle" and abs(val - 1.0) < 1e-5
+    assert method == "closed-x" and abs(val - 1.0) < 1e-12
 
 
 def test_x_coefficients_invariants():
