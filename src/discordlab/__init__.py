@@ -3,9 +3,11 @@
 Computes geometric quantum discord under the Hilbert-Schmidt norm (d2)
 and the trace norm (d1), plus entanglement negativity, for two-qubit
 states, and follows these measures while one atom undergoes spontaneous
-emission.  Closed forms cover the X-state class; deterministic
-brute-force oracles over the measurement manifold back every closed
-form independently.
+emission.  Every value is exact: d2 and negativity come from small
+eigenproblems, d1 from a closed form on the X-state class and, for
+every other state, from the trace-norm objective on the few closed-form
+axes where its minimum lies (`d1_exact`).  Deterministic brute-force
+oracles over the measurement manifold back each of them independently.
 """
 
 from .dynamics import (
@@ -46,6 +48,7 @@ from .linalg import (
 from .measures import (
     XCoefficients,
     d1_closed_x,
+    d1_exact,
     d1_oracle,
     d1_x_kernel,
     d1_x_with_method,

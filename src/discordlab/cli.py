@@ -58,8 +58,6 @@ class RunConfig:
     gamma0: float = 1.0
     t_max: float = 5.0
     n_points: int = 1001
-    oracle_grid: int = 2000
-    oracle_refine: int = 200
     seed: int = 0
 
     def check(self):
@@ -69,8 +67,6 @@ class RunConfig:
             raise ValueError(f"tmax must be positive, got {self.t_max!r}")
         if self.n_points < 2:
             raise ValueError(f"points must be at least 2, got {self.n_points!r}")
-        if self.oracle_grid < 1 or self.oracle_refine < 1:
-            raise ValueError("oracle grid and refine counts must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
@@ -80,8 +76,6 @@ _FLAG_TO_FIELD = {
     "gamma0": "gamma0",
     "tmax": "t_max",
     "points": "n_points",
-    "grid": "oracle_grid",
-    "refine": "oracle_refine",
     "seed": "seed",
 }
 # config files accept both field names and the matching flag spellings
@@ -149,12 +143,12 @@ def write_rows(out_path, header, rows):
             fh.write(text)
 
 
-def _measure_row(rho, cfg) -> list:
+def _measure_row(rho) -> list:
     d2 = measures.d2_closed(rho)
     try:
         xs = states.to_x_state(rho)
     except states.NotXShaped:
-        d1, method = measures.d1_oracle(rho, cfg.oracle_grid, cfg.oracle_refine)[0], "oracle"
+        d1, method = measures.d1_exact(rho), "exact"
     else:
         d1, method = measures.d1_x_with_method(xs)
     neg = measures.negativity(rho)
@@ -162,10 +156,10 @@ def _measure_row(rho, cfg) -> list:
 
 
 def cmd_measure(ns) -> int:
-    cfg = build_config(ns)
+    build_config(ns)
     rho = states.read_state_file(ns.state_file)
     rho = states.validate(rho)
-    write_rows(ns.out, MEASURE_HEADER, [_measure_row(rho, cfg)])
+    write_rows(ns.out, MEASURE_HEADER, [_measure_row(rho)])
     return 0
 
 
@@ -186,7 +180,7 @@ def cmd_evolve(ns) -> int:
     rows = []
     for t in np.linspace(0.0, cfg.t_max, cfg.n_points):
         ev = dynamics.apply_channel(rho0, dynamics.EmissionChannel(ns.side, float(t), cfg.gamma0))
-        row = _measure_row(ev, cfg)
+        row = _measure_row(ev)
         rows.append([fmt(cfg.gamma0 * t)] + row[:4])
     write_rows(ns.out, EVOLVE_HEADER, rows)
     return 0
@@ -270,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--gamma0", type=float, default=None, help="emission rate (default 1)")
     shared.add_argument("--tmax", type=float, default=None, help="final time (default 5)")
     shared.add_argument("--points", type=int, default=None, help="samples per series (default 1001)")
-    shared.add_argument("--grid", type=int, default=None, help="oracle sphere-lattice size (default 2000)")
-    shared.add_argument("--refine", type=int, default=None, help="oracle refinement iterations (default 200)")
     shared.add_argument("--seed", type=int, default=None, help="seed for randomized helpers (default 0)")
     shared.add_argument("--config", default=None, help="key=value config file")
     shared.add_argument("--out", default=None, help="output file (default: stdout, or fig<N>.csv)")

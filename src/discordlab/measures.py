@@ -20,9 +20,50 @@ where B = a1^2 - a2^2 is formed from the coherences, so nothing
 cancels.  Both weights vanish on the degenerate set x = 0,
 |a1| = |a2| = |a3|, where the limit D1 = |a1| (the middle |c_i| of
 Paula, de Oliveira & Sarandy 2013) applies; every X state thus takes the
-closed form.  Both oracles scan a Fibonacci lattice of measurement axes
-and refine the best grid point with a Nelder-Mead simplex, which keeps
-them independent of every closed form here.
+closed form.
+
+Any other state takes `d1_exact`, exact for every two-qubit state.
+With S = x x^T - T T^T, an axis n and an orthonormal frame (e1, e2) of
+the plane normal to it,
+
+    ||rho - Pi_n(rho)||_1^2 = F(n)
+        = (1/2) (tr K - n.K.n + hypot(e1.S.e1 - e2.S.e2, 2 e1.S.e2)),
+
+with no eigensolver.  The code forms tr K - n.K.n as e1.K.e1 + e2.K.e2
+from x.e and T^T e, so a value near zero keeps its digits, and the hypot
+keeps those that the equivalent (sqrt(c + r) + sqrt(c - r))/2 loses next
+to a zero of the spread.
+
+The spread vanishes exactly on the normals of the circular sections of
+S: with eigenvalues s1 >= s2 >= s3 and eigenvectors v1, v3,
+n+- ~ sqrt(s1 - s2) v1 +- sqrt(s2 - s3) v3.  These kinks are the cone
+points of F.  Elsewhere F is smooth and is the maximum over the frame
+angle of the saddle function
+
+    L(u, v) = (u.x)^2 + v.Q.v,  Q = T T^T,
+
+over right-handed orthonormal frames (u, v, n).  At a smooth minimum
+the gradient of L along rotations of the frame about u, v and n,
+2 (v.Q.n, -(u.x)(n.x), (u.x)(v.x) - u.Q.v), vanishes.  Where it does
+through n.x = 0, the curvature of F for turning n about v is
+-2 (u.x)^2, which a minimum does not allow unless u.x = 0 too.  So
+u.x = 0 and u.Q.v = v.Q.n = 0: v is an eigenvector of Q, F equals its
+eigenvalue, and n ~ x - (x.v) v.  The eigenvalue is at least
+lambda_2(Q), since F(n) >= max_{w normal to n} w.Q.w >= lambda_2(Q).
+Where that projection vanishes or Q repeats an eigenvalue, the smallest
+such value is still reached on the axes named: with x along the top
+eigenvector, by the projection off the middle one; with x along the
+middle eigenvector, a repeated top eigenvalue or x = 0, by the kinks,
+which then reach lambda_2(Q); a repeated bottom eigenvalue adds a
+minimum only when x is zero or along the top eigenvector.  So F
+is smallest on one of at most five closed-form axes, the kinks and the
+projections of x off the eigenvectors of Q, and d1_exact evaluates F on
+each.  Every value it compares is a true value of F, so the result never
+undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
+
+Both oracles scan a Fibonacci lattice of measurement axes and refine the
+best grid point with a Nelder-Mead simplex, which keeps them independent
+of every closed form here.
 """
 
 from __future__ import annotations
@@ -44,6 +85,7 @@ __all__ = [
     "d1_x_kernel",
     "d1_closed_x",
     "d1_x_with_method",
+    "d1_exact",
     "negativity",
     "d2_oracle",
     "d1_oracle",
@@ -263,3 +305,51 @@ def d2_oracle(rho, grid: int = 2000, refine_iters: int = 200):
 def d1_oracle(rho, grid: int = 2000, refine_iters: int = 200):
     """Brute-force trace-norm discord: (value, minimizing axis)."""
     return _sphere_minimize(_d1_objective, rho, grid, refine_iters)
+
+
+# ---------------------------------------------------------------------------
+# exact trace-norm discord of any state
+
+
+def _objective_sq(x: np.ndarray, t: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """||rho - Pi_n(rho)||_1^2 for the Bloch vector x, correlation matrix t
+    and each nonzero row n of axes.
+
+    Built from x.e and T^T e over a frame (e1, e2) normal to n, with no
+    tr K - n.K.n difference, so a value near zero keeps its digits.
+    """
+    n = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+    h = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    e1 = h - np.sum(h * n, axis=1, keepdims=True) * n
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(n, e1)
+    x1, x2, t1, t2 = e1 @ x, e2 @ x, e1 @ t, e2 @ t
+    q11, q22, q12 = np.sum(t1 * t1, axis=1), np.sum(t2 * t2, axis=1), np.sum(t1 * t2, axis=1)
+    spread = np.hypot(x1 * x1 - x2 * x2 - q11 + q22, 2.0 * (x1 * x2 - q12))
+    return 0.5 * (x1 * x1 + x2 * x2 + q11 + q22 + spread)
+
+
+def _kink_axes(s: np.ndarray) -> np.ndarray:
+    """Rows: the axes where the spread vanishes, the normals of the circular
+    sections of s (any axis, if s is a multiple of I)."""
+    sv, vec = np.linalg.eigh(s)
+    w1, w3 = np.sqrt(max(sv[2] - sv[1], 0.0)), np.sqrt(max(sv[1] - sv[0], 0.0))
+    if w1 + w3 == 0.0:
+        return vec[:, 2:].T
+    v1, v3 = w1 * vec[:, 2], w3 * vec[:, 0]
+    return np.stack([v1 + v3, v1 - v3]) / np.hypot(w1, w3)
+
+
+def d1_exact(rho) -> float:
+    """Trace-norm discord of any two-qubit state (module docstring).
+
+    Evaluates the objective on the kinks and on the projections
+    x - (x.v) v of x off each eigenvector v of T T^T that do not vanish.
+    """
+    bd = states.bloch(rho)
+    x, t = bd.x_vec, bd.corr
+    q = t @ t.T
+    vecs = np.linalg.eigh(q)[1].T
+    axes = np.concatenate([_kink_axes(np.outer(x, x) - q), x - (vecs @ x)[:, None] * vecs])
+    axes = axes[np.sum(axes * axes, axis=1) > 0.0]
+    return float(np.sqrt(max(np.min(_objective_sq(x, t, axes)), 0.0)))

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from discordlab import families, states
+from discordlab import dynamics, families, measures, states
 from discordlab.cli import main
 
 LOG2 = math.log(2.0)
@@ -79,6 +79,22 @@ def test_measure_bell_state(tmp_path, capsys):
     assert abs(float(d1) - 1.0) < 1e-12
     assert abs(float(d2) - 1.0) < 1e-12
     assert abs(float(neg) - 1.0) < 1e-12
+
+
+def test_measure_non_x_state_exact(tmp_path, capsys):
+    # phased corners put this X state outside the closed form; Nelder-Mead
+    # once stopped at 0.2106 on it
+    rho = np.diag([0.0651, 0.0988, 0.496, 0.3401]).astype(complex)
+    rho[0, 3] = 0.0058 * np.exp(0.97j)
+    rho[1, 2] = 0.0995 * np.exp(-0.55j)
+    rho[3, 0], rho[2, 1] = np.conj(rho[0, 3]), np.conj(rho[1, 2])
+    states.write_state_file(tmp_path / "x.txt", rho)
+    code, out, _ = run_cli(capsys, "measure", str(tmp_path / "x.txt"))
+    assert code == 0
+    _, rows = rows_of(out)
+    d1, _, _, _, method = rows[0]
+    assert method == "exact"
+    assert abs(float(d1) - 0.2101993252624578) < 1e-12
 
 
 def test_measure_missing_file(tmp_path, capsys):
@@ -158,6 +174,18 @@ def test_evolve_family_and_file_agree(tmp_path, capsys):
     code, by_file, _ = run_cli(capsys, "evolve", str(f), *args)
     assert code == 0
     assert by_family == by_file
+
+
+def test_evolve_full_rank_state_file(tmp_path, capsys):
+    states.write_state_file(tmp_path / "r.txt", states.sample_random_state(4, "full-rank"))
+    rho0 = states.validate(states.read_state_file(tmp_path / "r.txt"))
+    code, out, _ = run_cli(capsys, "evolve", str(tmp_path / "r.txt"), "--points", "11")
+    assert code == 0
+    _, rows = rows_of(out)
+    assert len(rows) == 11
+    for t, row in zip(np.linspace(0.0, 5.0, 11), rows):
+        evolved = dynamics.apply_channel(rho0, dynamics.EmissionChannel("A", float(t), 1.0))
+        assert float(row[1]) == measures.d1_exact(evolved)
 
 
 def test_evolve_requires_exactly_one_source(tmp_path, capsys):
@@ -395,6 +423,13 @@ def test_config_errors(tmp_path, capsys):
                            "--w", "0.25", "--s", "0.25", "--config", str(bad_key))
     assert code == 2 and "error:" in err
 
+    # the oracle's lattice and refinement sizes are no longer settings
+    retired = tmp_path / "r.cfg"
+    retired.write_text("grid = 2000\nrefine = 200\n")
+    code, _, err = run_cli(capsys, "evolve", "--family", "classical",
+                           "--w", "0.25", "--s", "0.25", "--config", str(retired))
+    assert code == 2 and "error:" in err
+
     bad_value = tmp_path / "b.cfg"
     bad_value.write_text("points = many\n")
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
@@ -418,6 +453,7 @@ def test_bad_numeric_flags(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+    assert main(["critical", "--grid", "2000"]) == 2
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ from discordlab import families, linalg, measures, states
 from discordlab.measures import (
     XCoefficients,
     d1_closed_x,
+    d1_exact,
     d1_oracle,
     d1_x_with_method,
     d2_closed,
@@ -51,6 +52,23 @@ def random_local_unitary(seed):
 def unit(v):
     a = np.asarray(v, dtype=float)
     return a / np.sqrt(a @ a)
+
+
+def random_z_phases(rho, seed):
+    """rho under a local z-rotation of each qubit: X states get complex corners."""
+    a, b = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 2)
+    u = np.diag(np.kron([np.exp(0.5j * a), np.exp(-0.5j * a)],
+                        [np.exp(0.5j * b), np.exp(-0.5j * b)]))
+    return u @ rho @ u.conj().T
+
+
+def found_state():
+    """A phased X state on which the oracle's Nelder-Mead once stopped at 0.2106."""
+    m = np.diag([0.0651, 0.0988, 0.496, 0.3401]).astype(complex)
+    m[0, 3] = 0.0058 * np.exp(0.97j)
+    m[1, 2] = 0.0995 * np.exp(-0.55j)
+    m[3, 0], m[2, 1] = np.conj(m[0, 3]), np.conj(m[1, 2])
+    return m
 
 
 def test_measurement_axis_validates():
@@ -153,10 +171,14 @@ def test_d1_oracle_examples():
     for seed in range(3):
         val, _axis = d1_oracle(random_product_state(seed), 2000, 200)
         assert val < 1e-8
+        assert d1_exact(random_product_state(seed)) < 1e-12
     val, _axis = d1_oracle(theta_state(np.pi / 6), 2000, 200)
     assert abs(val - 0.5 * np.sin(np.pi / 3)) < 1e-5
+    assert abs(d1_exact(theta_state(np.pi / 6)) - 0.5 * np.sin(np.pi / 3)) < 1e-12
     val, _axis = d1_oracle(bell_phi_plus(), 2000, 200)
     assert abs(val - 1.0) < 1e-5
+    assert abs(d1_exact(bell_phi_plus()) - 1.0) < 1e-12
+    assert d1_exact(MAXMIX) == 0.0
 
 
 def test_oracle_axis_deterministic_and_unit():
@@ -178,6 +200,57 @@ def test_local_unitary_invariance():
         d1_a = d1_oracle(rho, 2000, 200)[0]
         d1_b = d1_oracle(rotated, 2000, 200)[0]
         assert abs(d1_a - d1_b) < 1e-4
+        assert abs(d1_exact(rotated) - d1_exact(rho)) < 1e-12
+
+
+def test_hypot_objective_matches_eigensolver():
+    # the trace norm from the spread of S, against eigvalsh of rho - Pi_n(rho),
+    # on 200 lattice axes and on both kinks
+    for seed in range(20):
+        rho = sample_random_state(seed, "full-rank")
+        bd = states.bloch(rho)
+        x, t = bd.x_vec, bd.corr
+        kinks = measures._kink_axes(np.outer(x, x) - t @ t.T)
+        axes = np.concatenate([measures._fibonacci_axes(200), kinks])
+        got = np.sqrt(measures._objective_sq(x, t, axes))
+        np.testing.assert_allclose(got, measures._d1_objective(rho, axes), rtol=0, atol=1e-14)
+
+
+def test_d1_exact_hard_cases():
+    # a smooth minimum 1e-3 from a kink and 1.8e-7 below the kink's value
+    assert abs(d1_exact(sample_random_state(290, "full-rank")) - 0.2633421097424115) < 1e-12
+    assert abs(d1_exact(found_state()) - 0.2101993252624578) < 1e-12
+
+
+def test_d1_exact_degenerate_cases():
+    # x along the middle eigenvector of T T^T: the kinks reach its eigenvalue
+    rho = states.from_bloch([0.0, 0.1, 0.0], [0.0, 0.0, 0.0], np.diag([0.5, 0.3, 0.1]))
+    assert abs(d1_exact(rho) - 0.3) < 1e-12
+    # a repeated top eigenvalue of T T^T with x off its eigenvectors
+    rho = states.from_bloch([0.15, 0.0, 0.2], [0.0, 0.0, 0.0], np.diag([0.4, -0.4, 0.1]))
+    assert abs(d1_exact(rho) - 0.4) < 1e-12
+    # pure states: x along the top eigenvector; D1 is the concurrence
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi /= np.linalg.norm(psi)
+        concurrence = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+        assert abs(d1_exact(np.outer(psi, psi.conj())) - concurrence) < 1e-12
+
+
+def test_d1_exact_matches_x_kernel_under_local_phases():
+    for seed in range(300):
+        rho = sample_random_state(seed, "x-shaped")
+        want = d1_closed_x(to_x_state(rho))
+        assert abs(d1_exact(random_z_phases(rho, seed)) - want) < 1e-12
+
+
+def test_d1_exact_never_above_oracle():
+    for seed in range(50):
+        rho = sample_random_state(seed, "full-rank")
+        d1 = d1_exact(rho)
+        assert d1 <= d1_oracle(rho, 2000, 200)[0] + 1e-12
+        assert d1 * d1 >= d2_closed(rho) - 1e-12
 
 
 def gauged_x(rho):
@@ -195,6 +268,7 @@ def test_corner_sign_gauge_is_sound():
         val = d1_closed_x(gauged_x(rho))
         ref, _ = d1_oracle(rho, 2000, 200)
         assert abs(val - ref) < 1e-5
+        assert abs(d1_exact(rho) - val) < 1e-12
 
 
 def test_chain_on_bell_diagonal_sample():
