@@ -6,35 +6,37 @@ the Hilbert-Schmidt measure and the trace-norm measure order the states
 differently along the way: strictly d1 > sqrt(d2) > negativity below
 pi/4, and d1 = sqrt(d2) at and above it.
 
-Run:  python3 demos/correlation_measures_tour.py
+Run from the repository root:
+
+    PYTHONPATH=src python3 demos/correlation_measures_tour.py
 """
 
 import numpy as np
 
 from discordlab import FamilyParams, make_state
-from discordlab.measures import d1_oracle, d1_x_with_method, d2_closed, d2_oracle, negativity
-from discordlab.states import to_x_state
+from discordlab.measures import d1_oracle, d2_oracle, measure_batch
 
 
-def row(theta):
-    rho = make_state(FamilyParams("theta", theta=theta))
-    d1, method = d1_x_with_method(to_x_state(rho))
-    return d1, np.sqrt(d2_closed(rho)), negativity(rho), method
+def family_measures(thetas):
+    """d1, sqrt(d2), negativity and the d1 route along the family, in one
+    call of the measure pipeline."""
+    d1, d2, neg, route = measure_batch([make_state(FamilyParams("theta", theta=t))
+                                        for t in thetas])
+    return d1, np.sqrt(d2), neg, route
 
 
 def main():
     print("theta/pi    d1        sqrt(d2)  negativity")
-    for frac in np.linspace(0.0, 0.5, 11):
-        d1, sq, neg, _ = row(np.pi * frac)
+    fracs = np.linspace(0.0, 0.5, 11)
+    for frac, d1, sq, neg in zip(fracs, *family_measures(np.pi * fracs)[:3]):
         marker = "  (equality region)" if frac >= 0.25 else ""
         print(f"  {frac:4.2f}    {d1:.6f}  {sq:.6f}  {neg:.6f}{marker}")
 
     # the closed forms against the brute-force sphere search
     print("\nclosed form vs minimization over all measurement axes:")
-    for frac in (0.1, 0.25, 0.4):
-        theta = np.pi * frac
-        rho = make_state(FamilyParams("theta", theta=theta))
-        d1, sq, neg, method = row(theta)
+    fracs = np.array([0.1, 0.25, 0.4])
+    for frac, d1, sq, _, method in zip(fracs, *family_measures(np.pi * fracs)):
+        rho = make_state(FamilyParams("theta", theta=np.pi * frac))
         d1_brute, axis = d1_oracle(rho)
         d2_brute, _ = d2_oracle(rho)
         print(f"  theta = {frac:.2f} pi: d1 {d1:.8f} vs oracle {d1_brute:.8f} "

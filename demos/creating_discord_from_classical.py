@@ -6,7 +6,9 @@ exactly zero.  Letting one atom decay breaks that symmetry, and both
 measures climb to a maximum before dying off again.  Decay of the
 unmeasured atom, by contrast, creates nothing at all.
 
-Run:  python3 demos/creating_discord_from_classical.py
+Run from the repository root:
+
+    PYTHONPATH=src python3 demos/creating_discord_from_classical.py
 """
 
 import numpy as np

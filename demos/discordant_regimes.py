@@ -7,7 +7,9 @@ Three behaviours show up as (w, s) moves around:
   * for w > 1/4 it passes exactly through zero at t0 = ln(4 w) / gamma0
     and is reborn on the other side of the crossing.
 
-Run:  python3 demos/discordant_regimes.py
+Run from the repository root:
+
+    PYTHONPATH=src python3 demos/discordant_regimes.py
 """
 
 import numpy as np

@@ -6,7 +6,9 @@ a purity factor that the channel can raise, so the same evolution that
 leaves d1 monotone makes d2 grow.  This is the standard argument for
 preferring the trace norm as a distance measure.
 
-Run:  python3 demos/unmeasured_side_anomaly.py
+Run from the repository root:
+
+    PYTHONPATH=src python3 demos/unmeasured_side_anomaly.py
 """
 
 import numpy as np

@@ -6,8 +6,10 @@ states, and follows these measures while one atom undergoes spontaneous
 emission.  Every value is exact: d2 and negativity come from small
 eigenproblems, d1 from a closed form on the X-state class and, for
 every other state, from the trace-norm objective on the few closed-form
-axes where its minimum lies (`d1_exact`).  Deterministic brute-force
-oracles over the measurement manifold back each of them independently.
+axes where its minimum lies (`d1_exact`).  `measure_batch` computes all
+three for a whole stack of states in one pass.  Deterministic
+brute-force oracles over the measurement manifold back each of them
+independently.
 """
 
 from .dynamics import (
@@ -16,6 +18,7 @@ from .dynamics import (
     StepTooLarge,
     apply_channel,
     asymptotic_state,
+    evolve_states,
     integrate,
     lindblad_rhs,
 )
@@ -55,6 +58,7 @@ from .measures import (
     d2_closed,
     d2_oracle,
     is_degenerate_x,
+    measure_batch,
     measure_map,
     measurement_axis,
     negativity,
@@ -75,6 +79,7 @@ from .states import (
     sample_random_state,
     to_x_state,
     validate,
+    x_fields,
     write_state_file,
 )
 

@@ -8,6 +8,11 @@ figure    write the data behind the six reference figures to fig<N>.csv
 critical  print the two critical mixing parameters of the discordant family
 sweep     tabulate regime booleans over a grid of (w, s) pairs
 
+`measure`, `evolve` and `figure 1` hand all their states to
+`measures.measure_batch` in one call (`evolve` builds them with one
+`dynamics.evolve_states` call); figures 2-6, `critical` and `sweep`
+use the closed-form family series of `families`.
+
 All numeric output uses 17 significant digits and line-feed endings, so
 identical invocations produce byte-identical files.  Exit codes: 0 on
 success, 2 on parse errors (state files, config files, usage), 3 on state
@@ -58,7 +63,6 @@ class RunConfig:
     gamma0: float = 1.0
     t_max: float = 5.0
     n_points: int = 1001
-    seed: int = 0
 
     def check(self):
         if self.gamma0 <= 0.0:
@@ -67,8 +71,6 @@ class RunConfig:
             raise ValueError(f"tmax must be positive, got {self.t_max!r}")
         if self.n_points < 2:
             raise ValueError(f"points must be at least 2, got {self.n_points!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 _CONFIG_KEYS = {f.name: f.type for f in fields(RunConfig)}
@@ -76,7 +78,6 @@ _FLAG_TO_FIELD = {
     "gamma0": "gamma0",
     "tmax": "t_max",
     "points": "n_points",
-    "seed": "seed",
 }
 # config files accept both field names and the matching flag spellings
 _CONFIG_ALIASES = {flag: field for flag, field in _FLAG_TO_FIELD.items()}
@@ -143,23 +144,18 @@ def write_rows(out_path, header, rows):
             fh.write(text)
 
 
-def _measure_row(rho) -> list:
-    d2 = measures.d2_closed(rho)
-    try:
-        xs = states.to_x_state(rho)
-    except states.NotXShaped:
-        d1, method = measures.d1_exact(rho), "exact"
-    else:
-        d1, method = measures.d1_x_with_method(xs)
-    neg = measures.negativity(rho)
-    return [fmt(d1), fmt(d2), fmt(np.sqrt(d2)), fmt(neg), method]
+def _columns(*cols) -> list:
+    """CSV rows from equal-length columns: numbers formatted, strings kept."""
+    text = [[v if isinstance(v, str) else fmt(v) for v in np.asarray(c).tolist()] for c in cols]
+    return [list(row) for row in zip(*text)]
 
 
 def cmd_measure(ns) -> int:
     build_config(ns)
     rho = states.read_state_file(ns.state_file)
     rho = states.validate(rho)
-    write_rows(ns.out, MEASURE_HEADER, [_measure_row(rho)])
+    d1, d2, neg, route = measures.measure_batch(rho[None])
+    write_rows(ns.out, MEASURE_HEADER, _columns(d1, d2, np.sqrt(d2), neg, route))
     return 0
 
 
@@ -177,24 +173,18 @@ def _initial_state(ns):
 def cmd_evolve(ns) -> int:
     cfg = build_config(ns)
     rho0 = _initial_state(ns)
-    rows = []
-    for t in np.linspace(0.0, cfg.t_max, cfg.n_points):
-        ev = dynamics.apply_channel(rho0, dynamics.EmissionChannel(ns.side, float(t), cfg.gamma0))
-        row = _measure_row(ev)
-        rows.append([fmt(cfg.gamma0 * t)] + row[:4])
-    write_rows(ns.out, EVOLVE_HEADER, rows)
+    t = np.linspace(0.0, cfg.t_max, cfg.n_points)
+    d1, d2, neg, _ = measures.measure_batch(dynamics.evolve_states(rho0, ns.side, t, cfg.gamma0))
+    write_rows(ns.out, EVOLVE_HEADER, _columns(cfg.gamma0 * t, d1, d2, np.sqrt(d2), neg))
     return 0
 
 
 def _figure_rows(n, cfg):
     if n == 1:
-        rows = []
-        for theta in np.linspace(0.0, np.pi / 2, cfg.n_points):
-            rho = families.make_state(families.FamilyParams("theta", theta=float(theta)))
-            d2 = measures.d2_closed(rho)
-            d1 = measures.d1_x_with_method(states.to_x_state(rho))[0]
-            rows.append([fmt(theta), fmt(measures.negativity(rho)), fmt(np.sqrt(d2)), fmt(d1)])
-        return rows
+        theta = np.linspace(0.0, np.pi / 2, cfg.n_points)
+        rhos = [families.make_state(families.FamilyParams("theta", theta=th)) for th in theta.tolist()]
+        d1, d2, neg, _ = measures.measure_batch(rhos)
+        return _columns(theta, neg, np.sqrt(d2), d1)
     family, w, s = FIGURE_STATES[n]
     p = families.FamilyParams(family, w=w, s=s)
     t = np.linspace(0.0, cfg.t_max, cfg.n_points)
@@ -264,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--gamma0", type=float, default=None, help="emission rate (default 1)")
     shared.add_argument("--tmax", type=float, default=None, help="final time (default 5)")
     shared.add_argument("--points", type=int, default=None, help="samples per series (default 1001)")
-    shared.add_argument("--seed", type=int, default=None, help="seed for randomized helpers (default 0)")
     shared.add_argument("--config", default=None, help="key=value config file")
     shared.add_argument("--out", default=None, help="output file (default: stdout, or fig<N>.csv)")
 

@@ -10,10 +10,12 @@ and the exact solution is the amplitude-damping channel with Kraus pair
     K0 = [[sqrt(1-p), 0], [0, 1]],  K1 = [[0, 0], [sqrt(p), 0]],
     p = 1 - exp(-gamma0 t),
 
-tensored with the identity on the untouched side.  `apply_channel` uses
-the Kraus form (exact for any t); `integrate` steps the master equation
-with fixed-step RK4 and exists as an independent cross-check of the
-channel, not as the production path.
+tensored with the identity on the untouched side.  `evolve_states`
+applies the Kraus form (exact for any t) at a whole vector of times in
+one step, building the Kraus operators per time; `apply_channel` is its
+one-time case.  `integrate` steps the master equation with fixed-step
+RK4 and exists as an independent cross-check of the channel, not as the
+production path.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "StepTooLarge",
     "EmissionChannel",
     "apply_channel",
+    "evolve_states",
     "lindblad_rhs",
     "integrate",
     "asymptotic_state",
@@ -58,32 +61,52 @@ class EmissionChannel:
     gamma0: float = 1.0
 
     def __post_init__(self):
-        if self.side not in _SIDES:
-            raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
-        if self.gamma0 <= 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
-        if self.t < 0.0:
-            raise InvalidTime(f"evolution time must be >= 0, got {self.t!r}")
+        _check_channel(self.side, self.gamma0, self.t)
 
-    def kraus(self) -> list[np.ndarray]:
-        """Two-qubit Kraus operators of the channel."""
-        p = 1.0 - np.exp(-self.gamma0 * self.t)
-        k0 = np.array([[np.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=complex)
-        k1 = np.array([[0.0, 0.0], [np.sqrt(p), 0.0]], dtype=complex)
-        if self.side == "A":
-            return [kron(k0, I2), kron(k1, I2)]
-        if self.side == "B":
-            return [kron(I2, k0), kron(I2, k1)]
-        return [kron(ka, kb) for ka in (k0, k1) for kb in (k0, k1)]
+
+def _check_channel(side: str, gamma0: float, t_min: float) -> None:
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+    if gamma0 <= 0.0:
+        raise ValueError(f"gamma0 must be positive, got {gamma0!r}")
+    if t_min < 0.0:
+        raise InvalidTime(f"evolution time must be >= 0, got {t_min!r}")
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b) of 2x2 factors, per row where either is a stack (n, 2, 2)."""
+    k = np.einsum("...ij,...kl->...ikjl", a, b)
+    return k.reshape(k.shape[:-4] + (4, 4))
+
+
+def _kraus(side: str, times: np.ndarray, gamma0: float) -> np.ndarray:
+    """Kraus operators at each time, shape (2 or 4, n, 4, 4)."""
+    p = 1.0 - np.exp(-gamma0 * times)
+    k0 = np.zeros((len(times), 2, 2), dtype=complex)
+    k1 = np.zeros_like(k0)
+    k0[:, 0, 0] = np.sqrt(1.0 - p)
+    k0[:, 1, 1] = 1.0
+    k1[:, 1, 0] = np.sqrt(p)
+    if side == "A":
+        pairs = [(k0, I2), (k1, I2)]
+    elif side == "B":
+        pairs = [(I2, k0), (I2, k1)]
+    else:
+        pairs = [(ka, kb) for ka in (k0, k1) for kb in (k0, k1)]
+    return np.stack([_kron_rows(a, b) for a, b in pairs])
+
+
+def evolve_states(rho, side: str, times, gamma0: float = 1.0) -> np.ndarray:
+    """Exact evolved states sum_k K(t) rho K(t)^dagger at every t in times: (n, 4, 4)."""
+    t = np.asarray(times, dtype=float).reshape(-1)
+    _check_channel(side, gamma0, float(np.min(t, initial=0.0)))
+    ks = _kraus(side, t, gamma0)
+    return np.sum(ks @ np.asarray(rho, dtype=complex) @ np.swapaxes(ks.conj(), -1, -2), axis=0)
 
 
 def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:
-    """Exact evolved state sum_k K rho K^dagger."""
-    a = np.asarray(rho, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in ch.kraus():
-        out += k @ a @ k.conj().T
-    return out
+    """Exact evolved state sum_k K rho K^dagger: `evolve_states` at the one time ch.t."""
+    return evolve_states(rho, ch.side, [ch.t], ch.gamma0)[0]
 
 
 def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:

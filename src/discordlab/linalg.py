@@ -11,7 +11,9 @@ and 4x4; anything else is rejected.
 
 Hermitian eigenvalues come from LAPACK through `np.linalg.eigvalsh`,
 after a Hermiticity check and one symmetrization of the input; the same
-solver serves the brute-force oracles in `measures`.
+solver serves the brute-force oracles in `measures`.  It and
+`partial_transpose` also take a stack (..., k, k) of matrices, which
+the batched measures in `measures.measure_batch` pass in one call.
 """
 
 from __future__ import annotations
@@ -60,13 +62,15 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix in a stack)."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def _as_square(m, sizes=(2, 3, 4)) -> np.ndarray:
+def _as_square(m, sizes=(2, 3, 4), stack: bool = False) -> np.ndarray:
+    """m as complex; a square matrix, or with `stack` a stack (..., k, k)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in sizes:
+    if (a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]
+            or a.shape[-1] not in sizes):
         raise SizeMismatch(
             f"expected a square matrix with size in {sizes}, got shape {a.shape}"
         )
@@ -74,13 +78,15 @@ def _as_square(m, sizes=(2, 3, 4)) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian 2x2/3x3/4x4 matrix.
+    """Ascending real eigenvalues of a Hermitian 2x2/3x3/4x4 matrix, or of
+    each matrix in a stack (..., k, k).
 
     The input is checked against `tol` for Hermiticity (largest modulus
-    of m - m^dagger), symmetrized, and diagonalized by `np.linalg.eigvalsh`.
+    of m - m^dagger over the whole stack), symmetrized, and diagonalized
+    by `np.linalg.eigvalsh`.
     """
-    a = _as_square(m)
-    defect = float(np.max(np.abs(a - dagger(a))))
+    a = _as_square(m, stack=True)
+    defect = float(np.max(np.abs(a - dagger(a)), initial=0.0))
     if defect > tol:
         raise NonHermitianInput(f"hermiticity defect {defect:g} exceeds tol {tol:g}")
     return np.linalg.eigvalsh(0.5 * (a + dagger(a)))
@@ -116,11 +122,15 @@ def partial_trace(m, subsystem: str) -> np.ndarray:
 
 
 def partial_transpose(m, subsystem: str) -> np.ndarray:
-    """Transpose one tensor factor of a 4x4 operator."""
-    a = _as_square(m, sizes=(4,))
-    r = a.reshape(2, 2, 2, 2)
+    """Transpose one tensor factor of a 4x4 operator, or of each in a stack."""
+    a = _as_square(m, sizes=(4,), stack=True)
+    lead = a.shape[:-2]
+    r = a.reshape(lead + (2, 2, 2, 2))
+    k = len(lead)
     if subsystem == "A":
-        return r.transpose(2, 1, 0, 3).reshape(4, 4)
-    if subsystem == "B":
-        return r.transpose(0, 3, 2, 1).reshape(4, 4)
-    raise ValueError("subsystem must be 'A' or 'B'")
+        order = (k + 2, k + 1, k, k + 3)
+    elif subsystem == "B":
+        order = (k, k + 3, k + 2, k + 1)
+    else:
+        raise ValueError("subsystem must be 'A' or 'B'")
+    return r.transpose(tuple(range(k)) + order).reshape(a.shape)

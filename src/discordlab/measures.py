@@ -1,5 +1,11 @@
 """Quantum-correlation measures for two-qubit states.
 
+`measure_batch` is the one measure pipeline: for a stack of states it
+makes one Bloch decomposition, one batched eigensolve for D2 and one for
+the negativity, evaluates D1 through the X-state kernel on the states
+that pass `states.to_x_state`'s test and through `d1_exact` on the
+rest.  `d2_closed`, `negativity` and `d1_exact` are its one-state cases.
+
 Both geometric discords minimize over projective measurements on
 subsystem A only.  The Hilbert-Schmidt version
 
@@ -80,6 +86,7 @@ __all__ = [
     "XCoefficients",
     "measurement_axis",
     "measure_map",
+    "measure_batch",
     "d2_closed",
     "is_degenerate_x",
     "d1_x_kernel",
@@ -108,10 +115,7 @@ class XCoefficients:
 
     @classmethod
     def from_x_state(cls, xs: states.XState) -> "XCoefficients":
-        a1 = 2.0 * (xs.r23 + xs.r14)
-        a2 = 2.0 * (xs.r23 - xs.r14)
-        a3 = 1.0 - 2.0 * (xs.r22 + xs.r33)
-        x = 2.0 * (xs.r11 + xs.r22) - 1.0
+        a1, a2, a3, x, _ = _x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
         return cls(
             a1=a1,
             a2=a2,
@@ -147,14 +151,48 @@ def measure_map(rho, axis) -> np.ndarray:
     return pp @ a @ pp + pm @ a @ pm
 
 
+def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt discord from Bloch vectors x (..., 3) and correlation
+    matrices t (..., 3, 3), with one eigensolve over all K = x x^T + T T^T."""
+    xr, xc = x[..., None, :], x[..., :, None]
+    k = xc * xr + t @ np.swapaxes(t, -1, -2)
+    kmax = linalg.hermitian_eigenvalues(k)[..., -1]
+    # x.x as a matmul, which rounds like the dot product of one vector
+    xx = (xr @ xc)[..., 0, 0]
+    return np.maximum(0.0, 0.5 * (xx + np.sum(t * t, axis=(-2, -1)) - kmax))
+
+
+def _negativity(rhos: np.ndarray) -> np.ndarray:
+    """||rho^{T_A}||_1 - 1, clamped at 0, with one eigensolve over the stack."""
+    pt = linalg.partial_transpose(rhos, "A")
+    return np.maximum(0.0, np.sum(np.abs(linalg.hermitian_eigenvalues(pt)), axis=-1) - 1.0)
+
+
+def measure_batch(rhos):
+    """d1, d2, negativity and the d1 route of every state in a stack (n, 4, 4).
+
+    One 4x4 state counts as n = 1.  The route reads "closed-x" where the
+    state passes `states.to_x_state`'s test (same tolerance, coherences
+    clamped at 0) and D1 comes from `d1_x_kernel`, and "exact" where D1
+    comes from `d1_exact` on the Bloch form already computed.  Returns
+    float arrays d1, d2, neg and a str array route, each of length n.
+    """
+    a = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    bd = states.bloch(a)
+    x, t = bd.x_vec, bd.corr
+    is_x, f = states.x_fields(a)
+    d1 = np.empty(len(a))
+    r11, r22, r33, _, r14, r23 = f[is_x].T
+    d1[is_x] = d1_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23))
+    for i in np.flatnonzero(~is_x):
+        d1[i] = _d1_exact(x[i], t[i])
+    return d1, _d2(x, t), _negativity(a), np.where(is_x, "closed-x", "exact")
+
+
 def d2_closed(rho) -> float:
     """Hilbert-Schmidt discord from the Bloch decomposition."""
     bd = states.bloch(rho)
-    x = bd.x_vec
-    t = bd.corr
-    k = np.outer(x, x) + t @ t.T
-    kmax = float(linalg.hermitian_eigenvalues(k)[-1])
-    return max(0.0, 0.5 * (float(x @ x) + float(np.sum(t * t)) - kmax))
+    return float(_d2(bd.x_vec, bd.corr))
 
 
 def is_degenerate_x(xs: states.XState, tol: float = 1e-10) -> bool:
@@ -199,16 +237,24 @@ def d1_x_kernel(a1, a2, a3, x, B):
     return np.sqrt(np.maximum(d1sq, b))
 
 
+def _x_kernel_args(r11, r22, r33, r14, r23):
+    """(a1, a2, a3, x, B) of X states from their fields, elementwise."""
+    a1 = 2.0 * (r23 + r14)
+    a2 = 2.0 * (r23 - r14)
+    a3 = 1.0 - 2.0 * (r22 + r33)
+    x = 2.0 * (r11 + r22) - 1.0
+    # XState admits coherences down to -1e-12; the kernel needs B >= 0
+    return a1, a2, a3, x, np.maximum(16.0 * r14 * r23, 0.0)
+
+
 def d1_x_with_method(xs: states.XState) -> tuple[float, str]:
     """Trace-norm discord of an X state with the evaluation route used.
 
     The closed form holds on the whole X class, so the route is always
     "closed-x".
     """
-    c = XCoefficients.from_x_state(xs)
-    # XState admits coherences down to -1e-12; the kernel needs B >= 0
-    B = max(16.0 * xs.r14 * xs.r23, 0.0)
-    return float(d1_x_kernel(c.a1, c.a2, c.a3, c.x, B)), "closed-x"
+    args = _x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
+    return float(d1_x_kernel(*args)), "closed-x"
 
 
 def d1_closed_x(xs: states.XState) -> float:
@@ -218,8 +264,7 @@ def d1_closed_x(xs: states.XState) -> float:
 
 def negativity(rho) -> float:
     """Entanglement negativity ||rho^{T_A}||_1 - 1, clamped at 0."""
-    pt = linalg.partial_transpose(np.asarray(rho, dtype=complex), "A")
-    return max(0.0, linalg.trace_norm(pt) - 1.0)
+    return float(_negativity(np.asarray(rho, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +392,11 @@ def d1_exact(rho) -> float:
     x - (x.v) v of x off each eigenvector v of T T^T that do not vanish.
     """
     bd = states.bloch(rho)
-    x, t = bd.x_vec, bd.corr
+    return _d1_exact(bd.x_vec, bd.corr)
+
+
+def _d1_exact(x: np.ndarray, t: np.ndarray) -> float:
+    """d1_exact from the Bloch vector x and correlation matrix t of one state."""
     q = t @ t.T
     vecs = np.linalg.eigh(q)[1].T
     axes = np.concatenate([_kink_axes(np.outer(x, x) - q), x - (vecs @ x)[:, None] * vecs])

@@ -6,6 +6,11 @@ states whose only nonzero entries sit on the diagonal and the
 anti-diagonal, with real non-negative coherences; it is closed under
 the emission channels in `dynamics` and admits the closed-form
 measures in `measures`.
+
+`bloch` and `x_fields` take one state or a stack (..., 4, 4) of them:
+the batched pipeline `measures.measure_batch` decomposes and tests all
+its states in one call each, and `to_x_state` is the one-state case of
+`x_fields`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "validate",
     "from_x_state",
     "to_x_state",
+    "x_fields",
     "bloch",
     "from_bloch",
     "sample_random_state",
@@ -60,10 +66,15 @@ class StateFileError(ValueError):
     """State file could not be parsed (format error, not a physics error)."""
 
 
-# 4x4 operator basis used by bloch()/from_bloch(), built once
+# 4x4 operator basis used by bloch()/from_bloch(), built once; _BASIS
+# stacks it as sigma_k x I, I x sigma_k, then sigma_j x sigma_k row by row
 _SIG_A = tuple(kron(s, I2) for s in PAULIS)
 _SIG_B = tuple(kron(I2, s) for s in PAULIS)
 _SIG_AB = tuple(tuple(kron(sj, sk) for sk in PAULIS) for sj in PAULIS)
+_BASIS = np.stack(_SIG_A + _SIG_B + sum(_SIG_AB, ()))  # (15, 4, 4)
+
+# the entries an X state may carry: the diagonal and the anti-diagonal
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 
 def validate(m, tol: float = 1e-10) -> np.ndarray:
@@ -129,40 +140,57 @@ def from_x_state(x: XState) -> np.ndarray:
     return m
 
 
+def _x_test(a: np.ndarray, tol: float):
+    """Off-pattern entries above tol, the (r14, r23) entries, and which of
+    those have an imaginary part above tol or a real part below -tol."""
+    stray = (np.abs(a) > tol) & ~_X_PATTERN
+    coh = a[..., [0, 1], [3, 2]]
+    bad = (np.abs(coh.imag) > tol) | (coh.real < -tol)
+    return stray, coh, bad
+
+
+def x_fields(m, tol: float = 1e-10):
+    """The X test of `to_x_state` over a stack (..., 4, 4) of matrices.
+
+    Returns (is_x, fields): is_x marks the matrices `to_x_state` accepts
+    and fields (..., 6) holds (r11, r22, r33, r44, r14, r23) of every
+    matrix, the coherences' real parts clamped at 0.  The XState
+    invariants are not checked here.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.shape[-2:] != (4, 4):
+        raise StateError(f"expected 4x4 matrices, got shape {a.shape}")
+    stray, coh, bad = _x_test(a, tol)
+    is_x = ~(np.any(stray, axis=(-2, -1)) | np.any(bad, axis=-1))
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    return is_x, np.concatenate([diag, np.maximum(coh.real, 0.0)], axis=-1)
+
+
 def to_x_state(m, tol: float = 1e-10) -> XState:
     """Extract XState fields, rejecting anything outside the X class.
 
     Off-pattern entries above tol, coherence imaginary parts above tol,
     or real coherences below -tol raise NotXShaped; phases are never
-    silently absorbed.
+    silently absorbed.  The one-matrix case of `x_fields`.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
         raise StateError(f"expected a 4x4 matrix, got shape {a.shape}")
-    pattern = np.zeros((4, 4), dtype=bool)
-    pattern[np.arange(4), np.arange(4)] = True
-    pattern[np.arange(4), 3 - np.arange(4)] = True
-    stray = np.abs(a) > tol
-    stray[pattern] = False
-    if np.any(stray):
-        where = [(int(j), int(k)) for j, k in np.argwhere(stray)]
-        worst = float(np.max(np.abs(a[stray])))
-        raise NotXShaped(
-            f"off-pattern entries at {where} (largest modulus {worst:g}) exceed tol {tol:g}"
-        )
-    for entry, name in ((a[0, 3], "r14"), (a[1, 2], "r23")):
+    is_x, fields = x_fields(a, tol)
+    if not is_x:
+        stray, coh, bad = _x_test(a, tol)
+        if np.any(stray):
+            where = [(int(j), int(k)) for j, k in np.argwhere(stray)]
+            worst = float(np.max(np.abs(a[stray])))
+            raise NotXShaped(
+                f"off-pattern entries at {where} (largest modulus {worst:g}) exceed tol {tol:g}"
+            )
+        k = int(np.argmax(bad))
+        name, entry = ("r14", "r23")[k], coh[k]
         if abs(entry.imag) > tol:
             raise NotXShaped(f"{name} has imaginary part {entry.imag:g}")
-        if entry.real < -tol:
-            raise NotXShaped(f"{name} is negative ({entry.real:g})")
-    return XState(
-        r11=float(a[0, 0].real),
-        r22=float(a[1, 1].real),
-        r33=float(a[2, 2].real),
-        r44=float(a[3, 3].real),
-        r14=max(float(a[0, 3].real), 0.0),
-        r23=max(float(a[1, 2].real), 0.0),
-    )
+        raise NotXShaped(f"{name} is negative ({entry.real:g})")
+    return XState(*fields.tolist())
 
 
 @dataclass(frozen=True)
@@ -179,14 +207,16 @@ class BlochDecomposition:
 
 
 def bloch(rho) -> BlochDecomposition:
-    """Pauli expectation values of a 4x4 state."""
+    """Pauli expectation values of a 4x4 state, or of each state in a stack.
+
+    One einsum against the stacked basis gives all 15 values of every
+    state; for a stack (..., 4, 4) the fields gain the leading axes.
+    """
     a = np.asarray(rho, dtype=complex)
-    x = np.array([np.einsum("ij,ji->", a, s).real for s in _SIG_A])
-    y = np.array([np.einsum("ij,ji->", a, s).real for s in _SIG_B])
-    t = np.array(
-        [[np.einsum("ij,ji->", a, _SIG_AB[j][k]).real for k in range(3)] for j in range(3)]
+    c = np.einsum("...ij,kji->...k", a, _BASIS).real
+    return BlochDecomposition(
+        x_vec=c[..., 0:3], y_vec=c[..., 3:6], corr=c[..., 6:].reshape(c.shape[:-1] + (3, 3))
     )
-    return BlochDecomposition(x_vec=x, y_vec=y, corr=t)
 
 
 def from_bloch(x_vec, y_vec, corr) -> np.ndarray:

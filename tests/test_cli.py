@@ -7,9 +7,11 @@ counterexample.
 """
 
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,10 @@ def test_evolve_full_rank_state_file(tmp_path, capsys):
     for t, row in zip(np.linspace(0.0, 5.0, 11), rows):
         evolved = dynamics.apply_channel(rho0, dynamics.EmissionChannel("A", float(t), 1.0))
         assert float(row[1]) == measures.d1_exact(evolved)
+        d2 = measures.d2_closed(evolved)
+        assert float(row[2]) == d2
+        assert float(row[3]) == np.sqrt(d2)
+        assert float(row[4]) == measures.negativity(evolved)
 
 
 def test_evolve_requires_exactly_one_source(tmp_path, capsys):
@@ -430,6 +436,13 @@ def test_config_errors(tmp_path, capsys):
                            "--w", "0.25", "--s", "0.25", "--config", str(retired))
     assert code == 2 and "error:" in err
 
+    # no command reads a seed, so it is not a setting either
+    seeded = tmp_path / "s.cfg"
+    seeded.write_text("seed = 1\n")
+    code, _, err = run_cli(capsys, "evolve", "--family", "classical",
+                           "--w", "0.25", "--s", "0.25", "--config", str(seeded))
+    assert code == 2 and "error:" in err
+
     bad_value = tmp_path / "b.cfg"
     bad_value.write_text("points = many\n")
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
@@ -454,6 +467,7 @@ def test_bad_numeric_flags(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["critical", "--grid", "2000"]) == 2
+    assert main(["critical", "--seed", "1"]) == 2
     capsys.readouterr()
 
 
@@ -463,12 +477,17 @@ def test_usage_error_exit_code(capsys):
 
 def test_console_script_smoke():
     exe = shutil.which("discordlab")
+    env = dict(os.environ)
     if exe:
         argv = [exe, "critical"]
     else:
+        # not installed: run the package from the source tree, as pytest does
         argv = [sys.executable, "-c",
                 "import sys; from discordlab.cli import main; "
                 "sys.exit(main(['critical']))"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     assert "w_bar_c > w_c: true" in proc.stdout

@@ -11,6 +11,7 @@ from discordlab.dynamics import (
     StepTooLarge,
     apply_channel,
     asymptotic_state,
+    evolve_states,
     integrate,
     lindblad_rhs,
 )
@@ -46,6 +47,10 @@ def test_channel_field_validation():
         EmissionChannel("C", 1.0)
     with pytest.raises(ValueError):
         EmissionChannel("A", 1.0, gamma0=0.0)
+    with pytest.raises(InvalidTime):
+        evolve_states(np.eye(4) / 4, "A", [0.0, 1.0, -0.1])
+    with pytest.raises(ValueError):
+        evolve_states(np.eye(4) / 4, "C", [1.0])
 
 
 def test_apply_channel_identity_at_t0():
@@ -108,6 +113,11 @@ def test_semigroup_and_commutation():
         both = apply_channel(rho, EmissionChannel("both", 0.7))
         np.testing.assert_allclose(ab, ba, atol=1e-13)
         np.testing.assert_allclose(ab, both, atol=1e-13)
+        # the batched map is the one-time map, row by row, to the bit
+        for side in ("A", "B", "both"):
+            rows = evolve_states(rho, side, [0.0, 0.4, 1.3], 0.8)
+            for t, row in zip((0.0, 0.4, 1.3), rows):
+                np.testing.assert_array_equal(row, apply_channel(rho, EmissionChannel(side, t, 0.8)))
 
 
 def test_lindblad_rhs_examples():

@@ -14,6 +14,7 @@ from discordlab.measures import (
     d2_closed,
     d2_oracle,
     is_degenerate_x,
+    measure_batch,
     measure_map,
     measurement_axis,
     negativity,
@@ -251,6 +252,41 @@ def test_d1_exact_never_above_oracle():
         d1 = d1_exact(rho)
         assert d1 <= d1_oracle(rho, 2000, 200)[0] + 1e-12
         assert d1 * d1 >= d2_closed(rho) - 1e-12
+
+
+def near_x_boundary(size):
+    """A negative coherence, an imaginary coherence part and an off-pattern
+    entry of the given size: inside to_x_state's 1e-10 limits at 1e-11,
+    outside them at 1e-9."""
+    base = from_x_state(XState(0.3, 0.25, 0.25, 0.2, 0.1, 0.05))
+    out = []
+    for j, k, v in ((0, 3, -size), (1, 2, 0.05 + 1j * size), (0, 1, size)):
+        m = base.copy()
+        m[j, k], m[k, j] = v, np.conj(v)
+        out.append(m)
+    return out
+
+
+def test_measure_batch_matches_scalar_path():
+    # X, phased X, Bell-diagonal with a negative coherence, full rank, and
+    # both sides of the X test's limits, all in one batch
+    batch = [sample_random_state(seed, "x-shaped") for seed in range(4)]
+    batch += [random_z_phases(sample_random_state(seed, "x-shaped"), seed) for seed in range(4)]
+    for c in ((-0.3, 0.2, 0.1), (0.1, 0.4, -0.2), (-0.5, -0.1, -0.3)):
+        batch.append(states.from_bloch(np.zeros(3), np.zeros(3), np.diag(c)))
+    batch += [sample_random_state(seed, "full-rank") for seed in range(4)]
+    batch += near_x_boundary(1e-11) + near_x_boundary(1e-9)
+    d1, d2, neg, route = measure_batch(np.array(batch))
+    assert list(route) == ["closed-x"] * 4 + ["exact"] * 11 + ["closed-x"] * 3 + ["exact"] * 3
+    for k, rho in enumerate(batch):
+        try:
+            want, method = d1_x_with_method(to_x_state(rho))
+        except states.NotXShaped:
+            want, method = d1_exact(rho), "exact"
+        assert route[k] == method
+        assert abs(d1[k] - want) <= 1e-14
+        assert abs(d2[k] - d2_closed(rho)) <= 1e-14
+        assert abs(neg[k] - negativity(rho)) <= 1e-14
 
 
 def gauged_x(rho):
