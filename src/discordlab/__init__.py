@@ -49,7 +49,6 @@ from .linalg import (
     trace_norm,
 )
 from .measures import (
-    XCoefficients,
     d1_closed_x,
     d1_exact,
     d1_oracle,
@@ -57,6 +56,7 @@ from .measures import (
     d1_x_with_method,
     d2_closed,
     d2_oracle,
+    d2_x_kernel,
     is_degenerate_x,
     measure_batch,
     measure_map,

@@ -20,6 +20,7 @@ validation errors, 4 on domain or parameter errors.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -79,8 +80,6 @@ _FLAG_TO_FIELD = {
     "tmax": "t_max",
     "points": "n_points",
 }
-# config files accept both field names and the matching flag spellings
-_CONFIG_ALIASES = {flag: field for flag, field in _FLAG_TO_FIELD.items()}
 
 
 def read_config_file(path) -> dict:
@@ -99,7 +98,8 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        key = _CONFIG_ALIASES.get(key, key)
+        # config files accept both field names and the matching flag spellings
+        key = _FLAG_TO_FIELD.get(key, key)
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         caster = int if _CONFIG_KEYS[key] in ("int", int) else float
@@ -192,15 +192,12 @@ def _figure_rows(n, cfg):
         # the D1 curve of this state touches zero at t0 = ln(4w)/gamma0, which a
         # uniform grid never samples closely enough to show; add the exact point
         t = np.sort(np.append(t, np.log(4.0 * w) / cfg.gamma0))
-    if n == 6:
-        a = families.d2_timeseries_A(p, t, cfg.gamma0)
-        b = families.d2_timeseries_B(p, t, cfg.gamma0)
-        return [[fmt(gt), fmt(np.sqrt(va)), fmt(np.sqrt(vb))]
-                for gt, va, vb in zip(a.times, a.values, b.values)]
-    d1 = families.d1_timeseries_A(p, t, cfg.gamma0)
     d2 = families.d2_timeseries_A(p, t, cfg.gamma0)
-    return [[fmt(gt), fmt(v1), fmt(np.sqrt(v2))]
-            for gt, v1, v2 in zip(d1.times, d1.values, d2.values)]
+    if n == 6:
+        d2_b = families.d2_timeseries_B(p, t, cfg.gamma0)
+        return _columns(d2.times, np.sqrt(d2.values), np.sqrt(d2_b.values))
+    d1 = families.d1_timeseries_A(p, t, cfg.gamma0)
+    return _columns(d1.times, d1.values, np.sqrt(d2.values))
 
 
 def cmd_figure(ns) -> int:
@@ -292,10 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser serves every main call in a process: building it costs more
+# than measuring a state, and parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

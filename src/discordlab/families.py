@@ -26,9 +26,8 @@ functions evolve as
     side B:  a3(t) = 2 (r11 - r33) e^{-g t} - 2 (r11 + r22) + 1
              x(t)  = 2 (r11 + r22) - 1            (constant)
 
-(g = gamma0).  Together with B = 16 r14 r23 e^{-g t} they feed the X-state
-D1 kernel `measures.d1_x_kernel`.  D2 is the minimum of three explicit
-quadratics in e^{-g t} (f1/f2/f3 below).
+(g = gamma0).  They feed the X-state kernels of `measures`: D2 from
+`d2_x_kernel`, and D1, with B = 16 r14 r23 e^{-g t}, from `d1_x_kernel`.
 
 "Increases" for the regime report is operationalized as: the curve
 exceeds its t = 0 value by more than 1e-9 somewhere on
@@ -166,7 +165,7 @@ def make_state(p: FamilyParams) -> np.ndarray:
 
 
 def _coefficients(el, side: str, gt: np.ndarray):
-    """Vectorized (a1, a2, a3, x) over dimensionless times gt."""
+    """Vectorized X-kernel arguments (a1, a2, a3, x, B) over dimensionless times gt."""
     r11, r22, r33, r44, r14, r23 = el
     u = np.exp(-gt)
     su = np.exp(-0.5 * gt)
@@ -178,31 +177,16 @@ def _coefficients(el, side: str, gt: np.ndarray):
     else:
         a3 = 2.0 * (r11 - r33) * u - 2.0 * (r11 + r22) + 1.0
         x = np.full_like(u, 2.0 * (r11 + r22) - 1.0)
-    return a1, a2, a3, x
+    # B from the coherences: forming it as a1^2 - a2^2 would cancel
+    return a1, a2, a3, x, 16.0 * r14 * r23 * u
 
 
 def _d1_values(el, side: str, gt: np.ndarray) -> np.ndarray:
-    # B from the coherences: forming it as a1^2 - a2^2 would cancel
-    B = 16.0 * el[4] * el[5] * np.exp(-gt)
-    return measures.d1_x_kernel(*_coefficients(el, side, gt), B)
+    return measures.d1_x_kernel(*_coefficients(el, side, gt))
 
 
 def _d2_values(el, side: str, gt: np.ndarray) -> np.ndarray:
-    r11, r22, r33, r44, r14, r23 = el
-    u = np.exp(-gt)
-    f1 = 4.0 * (r14 * r14 + r23 * r23) * u
-    if side == "A":
-        quad = 4.0 * (r11 * r11 + r22 * r22)
-        cross = -2.0 * r11 * (r11 + r33) - 2.0 * r22 * (r22 + r44)
-        const = (r11 + r33) ** 2 + (r22 + r44) ** 2
-    else:
-        d = r11 - r33
-        quad = 2.0 * d * d
-        cross = -d * (r11 + r22 - r33 - r44)
-        const = (r11 + r22) ** 2 + (r33 + r44) ** 2 - 2.0 * (r11 + r22) * (r33 + r44)
-    f2 = quad * u * u + 2.0 * ((r14 - r23) ** 2 + cross) * u + const
-    f3 = quad * u * u + 2.0 * ((r14 + r23) ** 2 + cross) * u + const
-    return np.minimum(f1, np.minimum(f2, f3))
+    return measures.d2_x_kernel(*_coefficients(el, side, gt)[:4])
 
 
 def _series(p, times, gamma0, side, measure, values_fn) -> TimeSeries:
@@ -253,11 +237,12 @@ def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
         raise ParamOutOfRange("regime() applies to the classical and discordant families")
     el = _x_elements(p)
     gt = np.arange(0.0, _SCAN_HORIZON + _SCAN_STEP, _SCAN_STEP)
-    report = RegimeReport(
+    side_a = _coefficients(el, "A", gt)
+    return RegimeReport(
         w=p.w,
         s=p.s,
-        d2_increases_under_A=_grows(_d2_values(el, "A", gt)),
-        d1_increases_under_A=_grows(_d1_values(el, "A", gt)),
+        d2_increases_under_A=_grows(measures.d2_x_kernel(*side_a[:4])),
+        d1_increases_under_A=_grows(measures.d1_x_kernel(*side_a)),
         d2_increases_under_B=_grows(_d2_values(el, "B", gt)),
         t_zero=(
             math.log(4.0 * p.w) / gamma0
@@ -265,7 +250,6 @@ def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
             else None
         ),
     )
-    return report
 
 
 def _d1_grows_at(w: float) -> bool:

@@ -11,14 +11,16 @@ subsystem A only.  The Hilbert-Schmidt version
 
     D2 = (1/2) (|x|^2 + ||T||_2^2 - k_max)
 
-uses the largest eigenvalue k_max of K = x x^T + T T^T.  The trace-norm
-version has a closed form on the non-negative X class in terms of
+uses the largest eigenvalue k_max of K = x x^T + T T^T.  On the
+non-negative X class both have closed forms in terms of
 
     a1 = 2 (r23 + r14),  a2 = 2 (r23 - r14),  a3 = 1 - 2 (r22 + r33),
-    x  = 2 (r11 + r22) - 1,
-    a  = max(a3^2, a2^2 + x^2),  b = min(a3^2, a1^2),
+    x  = 2 (r11 + r22) - 1.
 
-written as the weighted mean (Ciccarello, Tufarelli & Giovannetti 2014)
+There K = diag(a1^2, a2^2, a3^2 + x^2), so D2 is half the smallest
+pairwise sum of those three (`d2_x_kernel`).  D1, with
+a = max(a3^2, a2^2 + x^2) and b = min(a3^2, a1^2), is the weighted mean
+(Ciccarello, Tufarelli & Giovannetti 2014)
 
     D1^2 = (a1^2 A + b B) / (A + B),  A = a - b >= 0,  B = 16 r14 r23 >= 0,
 
@@ -69,26 +71,24 @@ undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
 
 Both oracles scan a Fibonacci lattice of measurement axes and refine the
 best grid point with a Nelder-Mead simplex, which keeps them independent
-of every closed form here.
+of every closed form here.  scipy, which supplies the simplex, is
+imported on the first refinement only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg, states
 from .linalg import I2, PAULIS
 
 __all__ = [
-    "XCoefficients",
     "measurement_axis",
     "measure_map",
     "measure_batch",
     "d2_closed",
     "is_degenerate_x",
+    "d2_x_kernel",
     "d1_x_kernel",
     "d1_closed_x",
     "d1_x_with_method",
@@ -100,30 +100,6 @@ __all__ = [
 
 _PAULI_STACK = np.stack(PAULIS)  # (3, 2, 2)
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class XCoefficients:
-    """Correlation coefficients of an X state, plus the a/b envelope values."""
-
-    a1: float
-    a2: float
-    a3: float
-    x: float
-    a: float
-    b: float
-
-    @classmethod
-    def from_x_state(cls, xs: states.XState) -> "XCoefficients":
-        a1, a2, a3, x, _ = _x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
-        return cls(
-            a1=a1,
-            a2=a2,
-            a3=a3,
-            x=x,
-            a=max(a3 * a3, a2 * a2 + x * x),
-            b=min(a3 * a3, a1 * a1),
-        )
 
 
 def measurement_axis(n) -> np.ndarray:
@@ -141,14 +117,9 @@ def measure_map(rho, axis) -> np.ndarray:
     """Project subsystem A onto the +/- eigenstates of axis . sigma.
 
     Returns sum_pm (P_pm x I) rho (P_pm x I); idempotent and
-    trace-preserving.
+    trace-preserving.  The one-axis case of `_measured_batch`.
     """
-    n = measurement_axis(axis)
-    a = np.asarray(rho, dtype=complex)
-    nsig = np.einsum("a,aij->ij", n, _PAULI_STACK)
-    pp = np.kron(0.5 * (I2 + nsig), I2)
-    pm = np.kron(0.5 * (I2 - nsig), I2)
-    return pp @ a @ pp + pm @ a @ pm
+    return _measured_batch(np.asarray(rho, dtype=complex), measurement_axis(axis)[None])[0]
 
 
 def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -202,14 +173,29 @@ def is_degenerate_x(xs: states.XState, tol: float = 1e-10) -> bool:
     both weights of the closed form vanish there and D1 takes its limit
     |a1|.  This is a predicate only: every X state takes the closed form.
     """
-    c = XCoefficients.from_x_state(xs)
-    mags = (abs(c.a1), abs(c.a2), abs(c.a3))
+    a1, a2, a3, x, _ = _x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
+    mags = (abs(a1), abs(a2), abs(a3))
     return (
-        abs(c.x) <= tol
+        abs(x) <= tol
         and mags[0] > tol
         and abs(mags[0] - mags[1]) <= tol
         and abs(mags[1] - mags[2]) <= tol
     )
+
+
+def d2_x_kernel(a1, a2, a3, x):
+    """Hilbert-Schmidt discord of X states from their coefficients, elementwise.
+
+    Half the smallest pairwise sum of K's diagonal (a1^2, a2^2, a3^2 + x^2),
+    formed without a difference, so a value near zero keeps its digits.
+    """
+    # in-place sums, as in d1_x_kernel, so that a long scan allocates little
+    p, q = np.square(a1), np.square(a2)
+    r = np.square(a3)
+    r += np.square(x)
+    r += np.minimum(p, q)  # a3^2 + x^2 + min(a1^2, a2^2)
+    p += q  # a1^2 + a2^2
+    return 0.5 * np.minimum(p, r)
 
 
 def d1_x_kernel(a1, a2, a3, x, B):
@@ -243,7 +229,7 @@ def _x_kernel_args(r11, r22, r33, r14, r23):
     a2 = 2.0 * (r23 - r14)
     a3 = 1.0 - 2.0 * (r22 + r33)
     x = 2.0 * (r11 + r22) - 1.0
-    # XState admits coherences down to -1e-12; the kernel needs B >= 0
+    # XState admits coherences down to -states.TOL; the kernel needs B >= 0
     return a1, a2, a3, x, np.maximum(16.0 * r14 * r23, 0.0)
 
 
@@ -281,7 +267,7 @@ def _fibonacci_axes(n: int) -> np.ndarray:
 
 
 def _measured_batch(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Apply measure_map for every axis in one shot; axes (k,3) -> (k,4,4)."""
+    """sum_pm (P_pm x I) rho (P_pm x I) for every axis in one shot; axes (k,3) -> (k,4,4)."""
     nsig = np.einsum("ka,aij->kij", axes, _PAULI_STACK)
     pp = 0.5 * (I2[None, :, :] + nsig)
     pm = 0.5 * (I2[None, :, :] - nsig)
@@ -300,6 +286,13 @@ def _d1_objective(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
     delta = rho[None, :, :] - _measured_batch(rho, axes)
     # one batched eigvalsh over the whole grid keeps dense grids fast
     return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=1)
+
+
+def minimize(fun, x0, **kw):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kw)
 
 
 def _axis_from_angles(tp: np.ndarray) -> np.ndarray:

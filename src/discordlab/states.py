@@ -77,7 +77,12 @@ _BASIS = np.stack(_SIG_A + _SIG_B + sum(_SIG_AB, ()))  # (15, 4, 4)
 _X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 
-def validate(m, tol: float = 1e-10) -> np.ndarray:
+# the one slack of every density-matrix test here: validate, the X test
+# and the XState invariants
+TOL = 1e-10
+
+
+def validate(m, tol: float = TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the symmetrized matrix.
 
     Raises NotHermitian / TraceNotOne / NotPositive with the offending
@@ -94,7 +99,7 @@ def validate(m, tol: float = 1e-10) -> np.ndarray:
     tr = float(a.trace().real)
     if abs(tr - 1.0) > tol:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):g}")
-    lo = float(hermitian_eigenvalues(a, tol=max(tol, 1e-10))[0])
+    lo = float(hermitian_eigenvalues(a, tol=max(tol, TOL))[0])
     if lo < -tol:
         raise NotPositive(f"smallest eigenvalue {lo:g} below -tol {-tol:g}")
     return a
@@ -107,7 +112,7 @@ class XState:
     Fields are the matrix entries r11..r44 (populations, summing to 1)
     and r14, r23 (coherences).  Positivity of the underlying matrix is
     equivalent to r14^2 <= r11*r44 and r23^2 <= r22*r33, enforced here
-    with 1e-12 slack.
+    with the slack TOL that `validate` and `x_fields` allow.
     """
 
     r11: float
@@ -118,16 +123,15 @@ class XState:
     r23: float
 
     def __post_init__(self):
-        slack = 1e-12
         vals = (self.r11, self.r22, self.r33, self.r44, self.r14, self.r23)
-        if any(v < -slack for v in vals):
+        if any(v < -TOL for v in vals):
             raise StateError(f"negative X-state field in {vals}")
         total = self.r11 + self.r22 + self.r33 + self.r44
-        if abs(total - 1.0) > slack:
+        if abs(total - 1.0) > TOL:
             raise StateError(f"populations sum to {total!r}, not 1")
-        if self.r14**2 > self.r11 * self.r44 + slack:
+        if self.r14**2 > self.r11 * self.r44 + TOL:
             raise StateError("coherence r14 violates positivity")
-        if self.r23**2 > self.r22 * self.r33 + slack:
+        if self.r23**2 > self.r22 * self.r33 + TOL:
             raise StateError("coherence r23 violates positivity")
 
 
@@ -149,7 +153,7 @@ def _x_test(a: np.ndarray, tol: float):
     return stray, coh, bad
 
 
-def x_fields(m, tol: float = 1e-10):
+def x_fields(m, tol: float = TOL):
     """The X test of `to_x_state` over a stack (..., 4, 4) of matrices.
 
     Returns (is_x, fields): is_x marks the matrices `to_x_state` accepts
@@ -166,7 +170,7 @@ def x_fields(m, tol: float = 1e-10):
     return is_x, np.concatenate([diag, np.maximum(coh.real, 0.0)], axis=-1)
 
 
-def to_x_state(m, tol: float = 1e-10) -> XState:
+def to_x_state(m, tol: float = TOL) -> XState:
     """Extract XState fields, rejecting anything outside the X class.
 
     Off-pattern entries above tol, coherence imaginary parts above tol,

@@ -213,9 +213,12 @@ def test_evolve_bad_family_params(capsys):
 def test_evolve_deterministic_output(capsys):
     args = ("evolve", "--family", "discordant", "--w", "0.4", "--s", "0.2",
             "--tmax", "3", "--points", "51")
-    _, first, _ = run_cli(capsys, *args)
-    _, second, _ = run_cli(capsys, *args)
-    assert first == second
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    # a usage error in between leaves the parser, built once, as it was
+    assert run_cli(capsys, "evolve", "--no-such-flag")[0] == 2
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and first == second
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +478,35 @@ def test_usage_error_exit_code(capsys):
 # installed entry point
 
 
+def source_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_console_script_smoke():
     exe = shutil.which("discordlab")
-    env = dict(os.environ)
     if exe:
-        argv = [exe, "critical"]
+        argv, env = [exe, "critical"], None
     else:
         # not installed: run the package from the source tree, as pytest does
         argv = [sys.executable, "-c",
                 "import sys; from discordlab.cli import main; "
                 "sys.exit(main(['critical']))"]
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        env = source_env()
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     assert "w_bar_c > w_c: true" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the oracles' refinement and loads on its first use
+    code = ("import sys, discordlab, discordlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

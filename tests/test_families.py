@@ -240,8 +240,8 @@ def test_f_branch_ordering_and_bloch_consistency():
         gt = float(rng.uniform(0.0, 4.0))
         side = "A" if k % 3 else "B"
 
-        a1, a2, a3, x = (float(c[0]) for c in
-                         families._coefficients(families._x_elements(p), side, np.array([gt])))
+        a1, a2, a3, x, _ = (float(c[0]) for c in
+                            families._coefficients(families._x_elements(p), side, np.array([gt])))
         f_sym = (a1 * a1 + a3 * a3 + x * x) / 2.0
         f_anti = (a2 * a2 + a3 * a3 + x * x) / 2.0
         f_coh = (a1 * a1 + a2 * a2) / 2.0
@@ -253,6 +253,7 @@ def test_f_branch_ordering_and_bloch_consistency():
         ks = np.linalg.eigvalsh(np.outer(b.x_vec, b.x_vec) + b.corr @ b.corr.T)
         from_bloch = sorted((total - kk) / 2.0 for kk in ks)
         np.testing.assert_allclose(sorted((f_sym, f_anti, f_coh)), from_bloch, atol=1e-12)
+        assert abs(measures.d2_x_kernel(a1, a2, a3, x) - from_bloch[0]) < 1e-12
 
         series = d2_timeseries_A(p, [gt]) if side == "A" else d2_timeseries_B(p, [gt])
         assert abs(min(f_sym, f_anti, f_coh) - series.values[0]) < 1e-12

@@ -6,7 +6,6 @@ import pytest
 
 from discordlab import families, linalg, measures, states
 from discordlab.measures import (
-    XCoefficients,
     d1_closed_x,
     d1_exact,
     d1_oracle,
@@ -145,10 +144,9 @@ def test_d1_method_flags():
 
 def test_x_coefficients_invariants():
     for seed in range(10):
-        c = XCoefficients.from_x_state(to_x_state(sample_random_state(seed, "x-shaped")))
-        assert c.a == max(c.a3 ** 2, c.a2 ** 2 + c.x ** 2)
-        assert c.b == min(c.a3 ** 2, c.a1 ** 2)
-        assert max(abs(c.a1), abs(c.a2), abs(c.a3), abs(c.x)) <= 1 + 1e-10
+        xs = to_x_state(sample_random_state(seed, "x-shaped"))
+        a1, a2, a3, x, _ = measures._x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
+        assert max(abs(a1), abs(a2), abs(a3), abs(x)) <= 1 + 1e-10
 
 
 def test_negativity_examples():
@@ -287,6 +285,11 @@ def test_measure_batch_matches_scalar_path():
         assert abs(d1[k] - want) <= 1e-14
         assert abs(d2[k] - d2_closed(rho)) <= 1e-14
         assert abs(neg[k] - negativity(rho)) <= 1e-14
+    # on the exact X states the eigensolved d2 is the X-state kernel's value
+    for rho, d2_eig in zip(batch[:4], d2[:4]):
+        xs = to_x_state(rho)
+        args = measures._x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
+        assert abs(d2_eig - measures.d2_x_kernel(*args[:4])) <= 1e-15
 
 
 def gauged_x(rho):

@@ -4,7 +4,7 @@ random sampling and the state-file format."""
 import numpy as np
 import pytest
 
-from discordlab import families, states
+from discordlab import families, measures, states
 from discordlab.states import (
     NotHermitian,
     NotPositive,
@@ -78,6 +78,12 @@ def test_to_x_state_examples():
 
     xs = to_x_state(MAXMIX)
     assert (xs.r14, xs.r23) == (0.0, 0.0)
+
+    # a trace error that validate allows is allowed by XState too
+    edge = np.diag([0.3, 0.25, 0.25, 0.2 + 5e-11]).astype(complex)
+    edge[0, 3] = edge[3, 0] = 0.1
+    d1_closed, _ = measures.d1_x_with_method(to_x_state(validate(edge)))
+    assert abs(d1_closed - measures.measure_batch(edge)[0][0]) <= 1e-15
 
     bad = MAXMIX.copy()
     bad[0, 1] = bad[1, 0] = 0.1
