@@ -21,6 +21,8 @@ validation errors, 4 on domain or parameter errors.
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -135,13 +137,22 @@ def fmt_bool(flag) -> str:
 
 
 def write_rows(out_path, header, rows):
-    """Emit one header line plus formatted rows, LF endings only."""
+    """Emit one header line plus formatted rows, LF endings only.
+
+    An existing output file is overwritten in place and then cut to the
+    new length.  Truncating it to zero first would free and reallocate its
+    blocks on every call: on ext4 that costs more than measuring a state
+    and swings with the load on the disk.
+    """
     text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8", newline="") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a pipe or device
+            fh.truncate()
 
 
 def _columns(*cols) -> list:

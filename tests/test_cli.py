@@ -301,6 +301,13 @@ def test_figure_deterministic_bytes(tmp_path, capsys):
     run_cli(capsys, "figure", "4", "--points", "101", "--out", str(a))
     run_cli(capsys, "figure", "4", "--points", "101", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+    # a shorter output rewritten over b leaves none of the old tail, and
+    # a target that cannot be truncated still takes the output
+    c = tmp_path / "c.csv"
+    run_cli(capsys, "figure", "4", "--points", "11", "--out", str(c))
+    run_cli(capsys, "figure", "4", "--points", "11", "--out", str(b))
+    assert b.read_bytes() == c.read_bytes() != a.read_bytes()
+    assert run_cli(capsys, "figure", "4", "--points", "11", "--out", os.devnull)[0] == 0
 
 
 # ---------------------------------------------------------------------------
