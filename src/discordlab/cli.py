@@ -1,12 +1,18 @@
 """Command line front end emitting deterministic CSV.
 
-Subcommands
------------
-measure   read a 16-line state file, print one row of correlation measures
-evolve    time series of measures along one-sided (or two-sided) emission
-figure    write the data behind the six reference figures to fig<N>.csv
-critical  print the two critical mixing parameters of the discordant family
-sweep     tabulate regime booleans over a grid of (w, s) pairs
+Subcommands, each taking only the options it reads:
+
+measure   STATE_FILE --out: one row of correlation measures
+evolve    STATE_FILE or --family --theta --w --s; --side --gamma0 --tmax
+          --points --config --out: measures along one- or two-sided emission
+figure    N --gamma0 --tmax --points --config --out: write fig<N>.csv
+critical  --out: the two critical mixing parameters of the discordant family
+sweep     --family --wmin --wmax --wcount --s --gamma0 --config --out:
+          regime booleans over a grid of w at the fixed coherence --s, or
+          at s_max(w) without it
+
+Flags win over the `key=value` lines of --config, which win over
+DEFAULTS; a config file may carry keys the command does not read.
 
 `measure`, `evolve` and `figure 1` hand all their states to
 `measures.measure_batch` in one call (`evolve` builds them with one
@@ -24,7 +30,6 @@ import functools
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,33 +64,13 @@ class UnknownFigure(ValueError):
     """Figure number outside 1..6."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by all subcommands, overridable per invocation."""
-
-    gamma0: float = 1.0
-    t_max: float = 5.0
-    n_points: int = 1001
-
-    def check(self):
-        if self.gamma0 <= 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0!r}")
-        if self.t_max <= 0.0:
-            raise ValueError(f"tmax must be positive, got {self.t_max!r}")
-        if self.n_points < 2:
-            raise ValueError(f"points must be at least 2, got {self.n_points!r}")
-
-
-_CONFIG_KEYS = {f.name: f.type for f in fields(RunConfig)}
-_FLAG_TO_FIELD = {
-    "gamma0": "gamma0",
-    "tmax": "t_max",
-    "points": "n_points",
-}
+DEFAULTS = {"gamma0": 1.0, "t_max": 5.0, "n_points": 1001}
+# config files accept the flag spellings beside the names in DEFAULTS
+_SPELLINGS = {"tmax": "t_max", "points": "n_points"}
 
 
 def read_config_file(path) -> dict:
-    """Parse a plain key=value config file into RunConfig field values."""
+    """Parse a plain key=value config file into values keyed as in DEFAULTS."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,32 +85,31 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        # config files accept both field names and the matching flag spellings
-        key = _FLAG_TO_FIELD.get(key, key)
-        if key not in _CONFIG_KEYS:
+        key = _SPELLINGS.get(key, key)
+        if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = int if _CONFIG_KEYS[key] in ("int", int) else float
         try:
-            out[key] = caster(text)
+            out[key] = type(DEFAULTS[key])(text)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {text!r} for {key!r}")
     return out
 
 
-def build_config(ns) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
-    cfg = RunConfig()
-    if getattr(ns, "config", None) is not None:
-        cfg = replace(cfg, **read_config_file(ns.config))
-    overrides = {}
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(ns, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.check()
-    return cfg
+def fill_settings(ns):
+    """Fill the command's unset --gamma0/--tmax/--points from --config, then
+    from DEFAULTS, and range-check them.  A config file may carry keys the
+    command does not read, so one file can serve several commands."""
+    given = read_config_file(ns.config) if ns.config is not None else {}
+    for key, default in DEFAULTS.items():
+        if hasattr(ns, key) and getattr(ns, key) is None:
+            setattr(ns, key, given.get(key, default))
+    if ns.gamma0 <= 0.0:
+        raise ValueError(f"gamma0 must be positive, got {ns.gamma0!r}")
+    if hasattr(ns, "t_max"):  # sweep scans a fixed horizon instead
+        if ns.t_max <= 0.0:
+            raise ValueError(f"tmax must be positive, got {ns.t_max!r}")
+        if ns.n_points < 2:
+            raise ValueError(f"points must be at least 2, got {ns.n_points!r}")
 
 
 def fmt(value) -> str:
@@ -136,15 +120,14 @@ def fmt_bool(flag) -> str:
     return "true" if flag else "false"
 
 
-def write_rows(out_path, header, rows):
-    """Emit one header line plus formatted rows, LF endings only.
+def write_text(out_path, text):
+    """Emit text to stdout, or to out_path with LF endings only.
 
     An existing output file is overwritten in place and then cut to the
     new length.  Truncating it to zero first would free and reallocate its
     blocks on every call: on ext4 that costs more than measuring a state
     and swings with the load on the disk.
     """
-    text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -155,6 +138,11 @@ def write_rows(out_path, header, rows):
             fh.truncate()
 
 
+def write_rows(out_path, header, rows):
+    """One header line plus the CSV rows, through `write_text`."""
+    write_text(out_path, header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+
+
 def _columns(*cols) -> list:
     """CSV rows from equal-length columns: numbers formatted, strings kept."""
     text = [[v if isinstance(v, str) else fmt(v) for v in np.asarray(c).tolist()] for c in cols]
@@ -162,9 +150,7 @@ def _columns(*cols) -> list:
 
 
 def cmd_measure(ns) -> int:
-    build_config(ns)
-    rho = states.read_state_file(ns.state_file)
-    rho = states.validate(rho)
+    rho = states.validate(states.read_state_file(ns.state_file))
     d1, d2, neg, route = measures.measure_batch(rho[None])
     write_rows(ns.out, MEASURE_HEADER, _columns(d1, d2, np.sqrt(d2), neg, route))
     return 0
@@ -172,83 +158,81 @@ def cmd_measure(ns) -> int:
 
 def _initial_state(ns):
     given_family = ns.family is not None
-    given_file = getattr(ns, "state_file", None) is not None
+    given_file = ns.state_file is not None
     if given_family == given_file:
         raise ConfigError("provide exactly one of --family or a state file")
     if given_file:
+        for flag in ("theta", "w", "s"):
+            if getattr(ns, flag) is not None:
+                raise ConfigError(f"--{flag} sets a family parameter; a state file takes none")
         return states.validate(states.read_state_file(ns.state_file))
     p = families.FamilyParams(ns.family, theta=ns.theta, w=ns.w, s=ns.s)
     return families.make_state(p)
 
 
 def cmd_evolve(ns) -> int:
-    cfg = build_config(ns)
+    fill_settings(ns)
     rho0 = _initial_state(ns)
-    t = np.linspace(0.0, cfg.t_max, cfg.n_points)
-    d1, d2, neg, _ = measures.measure_batch(dynamics.evolve_states(rho0, ns.side, t, cfg.gamma0))
-    write_rows(ns.out, EVOLVE_HEADER, _columns(cfg.gamma0 * t, d1, d2, np.sqrt(d2), neg))
+    t = np.linspace(0.0, ns.t_max, ns.n_points)
+    d1, d2, neg, _ = measures.measure_batch(dynamics.evolve_states(rho0, ns.side, t, ns.gamma0))
+    write_rows(ns.out, EVOLVE_HEADER, _columns(ns.gamma0 * t, d1, d2, np.sqrt(d2), neg))
     return 0
 
 
-def _figure_rows(n, cfg):
-    if n == 1:
-        theta = np.linspace(0.0, np.pi / 2, cfg.n_points)
-        rhos = [families.make_state(families.FamilyParams("theta", theta=th)) for th in theta.tolist()]
-        d1, d2, neg, _ = measures.measure_batch(rhos)
+def _figure_rows(ns):
+    if ns.n == 1:
+        theta = np.linspace(0.0, np.pi / 2, ns.n_points)
+        d1, d2, neg, _ = measures.measure_batch(families.theta_states(theta))
         return _columns(theta, neg, np.sqrt(d2), d1)
-    family, w, s = FIGURE_STATES[n]
+    family, w, s = FIGURE_STATES[ns.n]
     p = families.FamilyParams(family, w=w, s=s)
-    t = np.linspace(0.0, cfg.t_max, cfg.n_points)
-    if n == 5:
+    t = np.linspace(0.0, ns.t_max, ns.n_points)
+    if ns.n == 5:
         # the D1 curve of this state touches zero at t0 = ln(4w)/gamma0, which a
         # uniform grid never samples closely enough to show; add the exact point
-        t = np.sort(np.append(t, np.log(4.0 * w) / cfg.gamma0))
-    d2 = families.d2_timeseries_A(p, t, cfg.gamma0)
-    if n == 6:
-        d2_b = families.d2_timeseries_B(p, t, cfg.gamma0)
+        t = np.sort(np.append(t, np.log(4.0 * w) / ns.gamma0))
+    d2 = families.d2_timeseries_A(p, t, ns.gamma0)
+    if ns.n == 6:
+        d2_b = families.d2_timeseries_B(p, t, ns.gamma0)
         return _columns(d2.times, np.sqrt(d2.values), np.sqrt(d2_b.values))
-    d1 = families.d1_timeseries_A(p, t, cfg.gamma0)
+    d1 = families.d1_timeseries_A(p, t, ns.gamma0)
     return _columns(d1.times, d1.values, np.sqrt(d2.values))
 
 
 def cmd_figure(ns) -> int:
     if ns.n not in FIGURE_HEADERS:
         raise UnknownFigure(f"no figure {ns.n}; expected 1..6")
-    cfg = build_config(ns)
+    fill_settings(ns)
     out = ns.out if ns.out is not None else f"fig{ns.n}.csv"
-    write_rows(out, FIGURE_HEADERS[ns.n], _figure_rows(ns.n, cfg))
+    write_rows(out, FIGURE_HEADERS[ns.n], _figure_rows(ns))
     return 0
 
 
 def cmd_critical(ns) -> int:
-    build_config(ns)
     w_c = families.find_critical_w("d2")
     w_bar = families.find_critical_w("d1")
     analytic = (2.0 - np.sqrt(2.0)) / 8.0
-    sys.stdout.write(
-        f"w_c (hilbert-schmidt growth threshold) = {fmt(w_c)}\n"
-        f"analytic reference (2 - sqrt(2))/8     = {fmt(analytic)}\n"
-        f"w_bar_c (trace-norm growth threshold)  = {fmt(w_bar)}\n"
-        f"w_bar_c > w_c: {fmt_bool(w_bar > w_c)}\n"
-    )
+    write_text(ns.out,
+               f"w_c (hilbert-schmidt growth threshold) = {fmt(w_c)}\n"
+               f"analytic reference (2 - sqrt(2))/8     = {fmt(analytic)}\n"
+               f"w_bar_c (trace-norm growth threshold)  = {fmt(w_bar)}\n"
+               f"w_bar_c > w_c: {fmt_bool(w_bar > w_c)}\n")
     return 0
 
 
 def cmd_sweep(ns) -> int:
-    cfg = build_config(ns)
+    fill_settings(ns)
     if ns.wcount < 1:
         raise ValueError(f"wcount must be positive, got {ns.wcount!r}")
-    if ns.s_policy == "fixed" and ns.s is None:
-        raise ValueError("s-policy fixed requires --s")
     rows = []
     for w in np.linspace(ns.wmin, ns.wmax, ns.wcount):
-        s = families.s_max(float(w)) if ns.s_policy == "smax" else ns.s
+        s = families.s_max(float(w)) if ns.s is None else ns.s
         try:
             p = families.FamilyParams(ns.family, w=float(w), s=float(s))
         except families.ParamOutOfRange as exc:
             print(f"warning: skipping w={fmt(w)}, s={fmt(s)}: {exc}", file=sys.stderr)
             continue
-        rep = families.regime(p, cfg.gamma0)
+        rep = families.regime(p, ns.gamma0)
         t_zero = float("nan") if rep.t_zero is None else rep.t_zero
         rows.append([fmt(rep.w), fmt(rep.s), fmt_bool(rep.d2_increases_under_A),
                      fmt_bool(rep.d1_increases_under_A), fmt_bool(rep.d2_increases_under_B),
@@ -258,22 +242,28 @@ def cmd_sweep(ns) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--gamma0", type=float, default=None, help="emission rate (default 1)")
-    shared.add_argument("--tmax", type=float, default=None, help="final time (default 5)")
-    shared.add_argument("--points", type=int, default=None, help="samples per series (default 1001)")
-    shared.add_argument("--config", default=None, help="key=value config file")
-    shared.add_argument("--out", default=None, help="output file (default: stdout, or fig<N>.csv)")
+    # each subcommand takes the option groups it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default: stdout, or fig<N>.csv)")
+    rate = argparse.ArgumentParser(add_help=False)
+    rate.add_argument("--gamma0", type=float, default=None, help="emission rate (default 1)")
+    rate.add_argument("--config", default=None, help="key=value config file")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--tmax", dest="t_max", type=float, default=None,
+                      help="final time (default 5)")
+    grid.add_argument("--points", dest="n_points", type=int, default=None,
+                      help="samples per series (default 1001)")
 
     parser = argparse.ArgumentParser(prog="discordlab",
                                      description="two-qubit discord measures under local emission")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("measure", parents=[shared], help="measures of one state file")
+    p = sub.add_parser("measure", parents=[out], help="measures of one state file")
     p.add_argument("state_file", help="16-line re,im state file")
     p.set_defaults(run=cmd_measure)
 
-    p = sub.add_parser("evolve", parents=[shared], help="measures along an emission channel")
+    p = sub.add_parser("evolve", parents=[rate, grid, out],
+                       help="measures along an emission channel")
     p.add_argument("state_file", nargs="?", default=None, help="16-line re,im state file")
     p.add_argument("--family", choices=("classical", "discordant", "theta"), default=None)
     p.add_argument("--theta", type=float, default=None)
@@ -282,20 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("A", "B", "both"), default="A")
     p.set_defaults(run=cmd_evolve)
 
-    p = sub.add_parser("figure", parents=[shared], help="write fig<N>.csv data")
+    p = sub.add_parser("figure", parents=[rate, grid, out], help="write fig<N>.csv data")
     p.add_argument("n", type=int, help="figure number, 1..6")
     p.set_defaults(run=cmd_figure)
 
-    p = sub.add_parser("critical", parents=[shared], help="critical mixing parameters")
+    p = sub.add_parser("critical", parents=[out], help="critical mixing parameters")
     p.set_defaults(run=cmd_critical)
 
-    p = sub.add_parser("sweep", parents=[shared], help="regime booleans over a (w, s) grid")
+    p = sub.add_parser("sweep", parents=[rate, out], help="regime booleans over a (w, s) grid")
     p.add_argument("--family", choices=("classical", "discordant"), default="discordant")
     p.add_argument("--wmin", type=float, default=0.01)
     p.add_argument("--wmax", type=float, default=0.49)
     p.add_argument("--wcount", type=int, default=25)
-    p.add_argument("--s-policy", dest="s_policy", choices=("smax", "fixed"), default="smax")
-    p.add_argument("--s", type=float, default=None)
+    p.add_argument("--s", type=float, default=None, help="fixed coherence (default: s_max(w))")
     p.set_defaults(run=cmd_sweep)
     return parser
 

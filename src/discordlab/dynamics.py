@@ -13,9 +13,9 @@ and the exact solution is the amplitude-damping channel with Kraus pair
 tensored with the identity on the untouched side.  `evolve_states`
 applies the Kraus form (exact for any t) at a whole vector of times in
 one step, building the Kraus operators per time; `apply_channel` is its
-one-time case.  `integrate` steps the master equation with fixed-step
-RK4 and exists as an independent cross-check of the channel, not as the
-production path.
+one-time case and `asymptotic_state` its t = inf case.  `integrate`
+steps the master equation with fixed-step RK4 and exists as an
+independent cross-check of the channel, not as the production path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .linalg import I2, SIGMA_MINUS, SIGMA_PLUS, kron, partial_trace
+from .linalg import I2, SIGMA_MINUS, kron
 
 __all__ = [
     "InvalidTime",
@@ -48,9 +48,6 @@ class StepTooLarge(ValueError):
 
 
 _SIDES = ("A", "B", "both")
-
-_P_GROUND = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class EmissionChannel:
@@ -159,12 +156,6 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
 
 
 def asymptotic_state(rho, side: str) -> np.ndarray:
-    """t -> infinity limit: measured side in the ground state, marginal intact."""
-    a = np.asarray(rho, dtype=complex)
-    if side == "A":
-        return kron(_P_GROUND, partial_trace(a, "A"))
-    if side == "B":
-        return kron(partial_trace(a, "B"), _P_GROUND)
-    if side == "both":
-        return kron(_P_GROUND, _P_GROUND)
-    raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+    """t -> infinity limit, `evolve_states` at t = inf: the decaying side in
+    its ground state, the other side's marginal intact."""
+    return evolve_states(rho, side, [np.inf])[0]

@@ -52,6 +52,7 @@ __all__ = [
     "RegimeReport",
     "s_max",
     "make_state",
+    "theta_states",
     "d1_timeseries_A",
     "d2_timeseries_A",
     "d1_timeseries_B",
@@ -141,18 +142,16 @@ class RegimeReport:
     t_zero: float | None
 
 
+def _theta_elements(th: float) -> tuple[float, float, float, float, float, float]:
+    """(r11, r22, r33, r44, r14, r23) of the theta family member at th."""
+    return (math.cos(th) ** 2 / 2.0, 0.0, 0.5,
+            math.sin(th) ** 2 / 2.0, math.sin(2.0 * th) / 4.0, 0.0)
+
+
 def _x_elements(p: FamilyParams) -> tuple[float, float, float, float, float, float]:
     """(r11, r22, r33, r44, r14, r23) of the initial state."""
     if p.family == "theta":
-        th = p.theta
-        return (
-            math.cos(th) ** 2 / 2.0,
-            0.0,
-            0.5,
-            math.sin(th) ** 2 / 2.0,
-            math.sin(2.0 * th) / 4.0,
-            0.0,
-        )
+        return _theta_elements(p.theta)
     if p.family == "classical":
         return (p.w, 0.5 - p.w, p.w, 0.5 - p.w, p.s, p.s)
     return (p.w, p.w, 0.5 - p.w, 0.5 - p.w, p.s, p.s)
@@ -162,6 +161,14 @@ def make_state(p: FamilyParams) -> np.ndarray:
     """Materialize the initial family member as a density matrix."""
     r11, r22, r33, r44, r14, r23 = _x_elements(p)
     return states.from_x_state(states.XState(r11, r22, r33, r44, r14, r23))
+
+
+def theta_states(thetas) -> np.ndarray:
+    """The theta family members at every theta in thetas, one stack (n, 4, 4)."""
+    th = np.asarray(thetas, dtype=float).reshape(-1)
+    if np.any(th < 0.0) or np.any(th > math.pi / 2.0 + 1e-12):
+        raise ParamOutOfRange(f"theta must lie in [0, pi/2], got {th.min()!r}..{th.max()!r}")
+    return states.from_x_fields(np.reshape([_theta_elements(t) for t in th.tolist()], (-1, 6)))
 
 
 def _coefficients(el, side: str, gt: np.ndarray):

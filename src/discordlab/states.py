@@ -31,6 +31,7 @@ __all__ = [
     "XState",
     "BlochDecomposition",
     "validate",
+    "from_x_fields",
     "from_x_state",
     "to_x_state",
     "x_fields",
@@ -135,13 +136,17 @@ class XState:
             raise StateError("coherence r23 violates positivity")
 
 
+def from_x_fields(f) -> np.ndarray:
+    """Matrices (..., 4, 4) from X fields (..., 6) = (r11, r22, r33, r44, r14, r23)."""
+    f = np.asarray(f, dtype=float)
+    m = np.zeros(f.shape[:-1] + (4, 4), dtype=complex)
+    m[..., [0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]] = f[..., [0, 1, 2, 3, 4, 4, 5, 5]]
+    return m
+
+
 def from_x_state(x: XState) -> np.ndarray:
     """Materialize an XState as a 4x4 density matrix."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.r11, x.r22, x.r33, x.r44
-    m[0, 3] = m[3, 0] = x.r14
-    m[1, 2] = m[2, 1] = x.r23
-    return m
+    return from_x_fields((x.r11, x.r22, x.r33, x.r44, x.r14, x.r23))
 
 
 def _x_test(a: np.ndarray, tol: float):

@@ -6,6 +6,7 @@ the scan contradicts on part of its range; the reason documents the
 counterexample.
 """
 
+import argparse
 import math
 import os
 import shutil
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from discordlab import dynamics, families, measures, states
-from discordlab.cli import main
+from discordlab.cli import build_parser, main
 
 LOG2 = math.log(2.0)
 
@@ -203,6 +204,13 @@ def test_evolve_requires_exactly_one_source(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_evolve_state_file_rejects_family_params(tmp_path, capsys):
+    f = write_family_state(tmp_path / "c.txt", "classical", w=0.25, s=0.25)
+    for flag in ("--theta", "--w", "--s"):
+        code, _, err = run_cli(capsys, "evolve", str(f), flag, "0.3")
+        assert code == 2 and "error:" in err and flag in err
+
+
 def test_evolve_bad_family_params(capsys):
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
                            "--w", "0.6", "--s", "0.1")
@@ -327,6 +335,14 @@ def test_critical_report(capsys):
     assert lines[3] == "w_bar_c > w_c: true"
 
 
+def test_critical_out_file_matches_stdout(tmp_path, capsys):
+    code, printed, _ = run_cli(capsys, "critical")
+    assert code == 0
+    code, rest, _ = run_cli(capsys, "critical", "--out", str(tmp_path / "c.txt"))
+    assert code == 0 and rest == ""
+    assert (tmp_path / "c.txt").read_bytes() == printed.encode()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -381,18 +397,25 @@ def test_sweep_t_zero_column(capsys):
 
 
 def test_sweep_fixed_s_skips_inadmissible_rows(capsys):
-    rows, err = sweep_rows(capsys, "--family", "classical",
-                           "--s-policy", "fixed", "--s", "0.2",
+    rows, err = sweep_rows(capsys, "--family", "classical", "--s", "0.2",
                            "--wmin", "0.05", "--wmax", "0.25", "--wcount", "5")
     assert len(rows) == 4
     assert "skipping" in err
     assert all(float(r[1]) == 0.2 for r in rows)
 
 
-def test_sweep_fixed_policy_requires_s(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--s-policy", "fixed")
-    assert code == 4
-    assert "error:" in err
+def test_sweep_given_s_is_fixed(capsys):
+    # the rows `--s-policy fixed --s 0.2` printed before --s alone fixed s
+    code, out, _ = run_cli(capsys, "sweep", "--family", "classical", "--s", "0.2",
+                           "--wmin", "0.05", "--wmax", "0.25", "--wcount", "5")
+    assert code == 0
+    assert out == (
+        "w,s,d2_inc_A,d1_inc_A,d2_inc_B,t_zero\n"
+        "0.10000000000000001,0.20000000000000001,true,true,false,nan\n"
+        "0.15000000000000002,0.20000000000000001,true,true,false,nan\n"
+        "0.20000000000000001,0.20000000000000001,true,true,false,nan\n"
+        "0.25,0.20000000000000001,true,true,false,nan\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +488,17 @@ def test_config_errors(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_config_keys_a_command_does_not_read(tmp_path, capsys):
+    # sweep reads gamma0 from a file that also serves evolve and figure
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma0 = 2\ntmax = 2.0\npoints = 11\n")
+    grid = ("--wmin", "0.1", "--wmax", "0.4", "--wcount", "4")
+    code, by_file, _ = run_cli(capsys, "sweep", *grid, "--config", str(cfg))
+    assert code == 0
+    code, by_flag, _ = run_cli(capsys, "sweep", *grid, "--gamma0", "2")
+    assert code == 0 and by_file == by_flag
+
+
 def test_bad_numeric_flags(capsys):
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
                            "--w", "0.25", "--s", "0.25", "--points", "1")
@@ -472,6 +506,50 @@ def test_bad_numeric_flags(capsys):
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
                            "--w", "0.25", "--s", "0.25", "--gamma0", "-1")
     assert code == 4 and "error:" in err
+
+
+# the long options and positional arguments each subcommand reads, and no more
+ACCEPTED = {
+    "measure": ({"--out"}, ["state_file"]),
+    "evolve": ({"--family", "--theta", "--w", "--s", "--side",
+                "--gamma0", "--tmax", "--points", "--config", "--out"}, ["state_file"]),
+    "figure": ({"--gamma0", "--tmax", "--points", "--config", "--out"}, ["n"]),
+    "critical": ({"--out"}, []),
+    "sweep": ({"--family", "--wmin", "--wmax", "--wcount", "--s",
+               "--gamma0", "--config", "--out"}, []),
+}
+
+
+def subparsers():
+    parser = build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_subcommand_takes_only_the_options_it_reads(command):
+    sub = subparsers()[command]
+    options = {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+    positionals = [a.dest for a in sub._actions if not a.option_strings]
+    assert (options - {"--help"}, positionals) == ACCEPTED[command]
+
+
+def test_settable_value_count():
+    subs = subparsers()
+    assert set(subs) == set(ACCEPTED)
+    values = [a for sub in subs.values() for a in sub._actions if a.dest != "help"]
+    assert len(values) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "STATE", "--gamma0", "2"),
+    ("critical", "--points", "11"),
+    ("sweep", "--tmax", "2"),
+    ("sweep", "--s-policy", "fixed"),
+], ids=["measure-gamma0", "critical-points", "sweep-tmax", "sweep-s-policy"])
+def test_removed_flags_exit_2(argv, capsys):
+    assert main(list(argv)) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -77,6 +77,17 @@ def test_family_params_validation():
             FamilyParams(**kwargs)
 
 
+def test_theta_states_match_make_state():
+    thetas = np.linspace(0.0, math.pi / 2, 101)
+    stack = families.theta_states(thetas)
+    assert stack.shape == (101, 4, 4)
+    for th, rho in zip(thetas.tolist(), stack):
+        assert np.array_equal(rho, make_state(FamilyParams("theta", theta=th)))
+    for bad in ([-0.1, 0.3], [2.0]):
+        with pytest.raises(ParamOutOfRange):
+            families.theta_states(bad)
+
+
 def test_make_state_theta_zero():
     rho = make_state(FamilyParams("theta", theta=0.0))
     np.testing.assert_allclose(rho, np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-15)
