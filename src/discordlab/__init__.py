@@ -24,10 +24,10 @@ from .dynamics import (
 )
 from .families import (
     FamilyParams,
-    NoSignChange,
     ParamOutOfRange,
     RegimeReport,
     TimeSeries,
+    W_CRITICAL_D1,
     W_CRITICAL_D2,
     d1_timeseries_A,
     d1_timeseries_B,

@@ -13,11 +13,13 @@ sweep     --family --wmin --wmax --wcount --s --gamma0 --config --out:
 
 Flags win over the `key=value` lines of --config, which win over
 DEFAULTS; a config file may carry keys the command does not read.
+Options are spelled out in full: a prefix of one is a usage error.
 
 `measure`, `evolve` and `figure 1` hand all their states to
 `measures.measure_batch` in one call (`evolve` builds them with one
-`dynamics.evolve_states` call); figures 2-6, `critical` and `sweep`
-use the closed-form family series of `families`.
+`dynamics.evolve_states` call); figures 2-6 and `sweep` use the
+closed-form family series of `families`, and `critical` prints its
+closed-form critical couplings.
 
 All numeric output uses 17 significant digits and line-feed endings, so
 identical invocations produce byte-identical files.  Exit codes: 0 on
@@ -254,16 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--points", dest="n_points", type=int, default=None,
                       help="samples per series (default 1001)")
 
-    parser = argparse.ArgumentParser(prog="discordlab",
+    # allow_abbrev=False everywhere: a prefix of an option is not that option
+    parser = argparse.ArgumentParser(prog="discordlab", allow_abbrev=False,
                                      description="two-qubit discord measures under local emission")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("measure", parents=[out], help="measures of one state file")
+    p = add_parser("measure", parents=[out], help="measures of one state file")
     p.add_argument("state_file", help="16-line re,im state file")
     p.set_defaults(run=cmd_measure)
 
-    p = sub.add_parser("evolve", parents=[rate, grid, out],
-                       help="measures along an emission channel")
+    p = add_parser("evolve", parents=[rate, grid, out],
+                   help="measures along an emission channel")
     p.add_argument("state_file", nargs="?", default=None, help="16-line re,im state file")
     p.add_argument("--family", choices=("classical", "discordant", "theta"), default=None)
     p.add_argument("--theta", type=float, default=None)
@@ -272,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("A", "B", "both"), default="A")
     p.set_defaults(run=cmd_evolve)
 
-    p = sub.add_parser("figure", parents=[rate, grid, out], help="write fig<N>.csv data")
+    p = add_parser("figure", parents=[rate, grid, out], help="write fig<N>.csv data")
     p.add_argument("n", type=int, help="figure number, 1..6")
     p.set_defaults(run=cmd_figure)
 
-    p = sub.add_parser("critical", parents=[out], help="critical mixing parameters")
+    p = add_parser("critical", parents=[out], help="critical mixing parameters")
     p.set_defaults(run=cmd_critical)
 
-    p = sub.add_parser("sweep", parents=[rate, out], help="regime booleans over a (w, s) grid")
+    p = add_parser("sweep", parents=[rate, out], help="regime booleans over a (w, s) grid")
     p.add_argument("--family", choices=("classical", "discordant"), default="discordant")
     p.add_argument("--wmin", type=float, default=0.01)
     p.add_argument("--wmax", type=float, default=0.49)

@@ -32,6 +32,19 @@ functions evolve as
 "Increases" for the regime report is operationalized as: the curve
 exceeds its t = 0 value by more than 1e-9 somewhere on
 gamma0 t in (0, 10], scanned in steps of 1e-4.
+
+The critical couplings are the lower roots in (0, 1/4) of two threshold
+polynomials, above which the measure of (w, s_max(w)) starts to grow
+under side-A emission (onset at t -> 0+).  With u = e^{-g t} that state
+has a2 = a3 = 0, x = 4 w u - 1 and a1^2 = B = (8 w - 16 w^2) u, so
+D2 grows once 32 w^2 - 16 w + 1 < 0, and D1^2 = 1/G(u) with
+
+    G(u) = 1 / ((8 w - 16 w^2) u) + 1 / (1 - 4 w u)^2.
+
+For w < 1/4 both terms of G are convex in u, so D1 rises somewhere on
+t > 0 exactly when G'(1) > 0, that is when 64 w^3 - 16 w^2 - 12 w + 1 < 0.
+The scan flag of `regime` reads true only a little above that onset
+(from w = 0.0777831 on), because it asks for a rise of more than 1e-9.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from . import measures, states
 
 __all__ = [
     "ParamOutOfRange",
-    "NoSignChange",
+    "W_CRITICAL_D1",
     "W_CRITICAL_D2",
     "FamilyParams",
     "TimeSeries",
@@ -66,13 +79,21 @@ class ParamOutOfRange(ValueError):
     """Family parameter outside its admissible interval."""
 
 
-class NoSignChange(RuntimeError):
-    """Bisection bracket does not straddle the predicate change."""
+# threshold polynomials in w, highest power first (module docstring); the
+# lower root of each in (0, 1/4) is the critical coupling of its measure
+_THRESHOLD_D2 = (32.0, -16.0, 1.0)
+_THRESHOLD_D1 = (64.0, -16.0, -12.0, 1.0)
 
-
-# lower root of 32 w^2 - 16 w + 1 = 0: the coupling above which the
-# Hilbert-Schmidt discord of (w, s_max(w)) grows under side-A emission
 W_CRITICAL_D2 = (2.0 - math.sqrt(2.0)) / 8.0
+
+# the trigonometric root of the cubic is about 10 ulp off; one Newton step
+# lands on the nearest double
+_W_D1_TRIG = (1.0 + 2.0 * math.sqrt(10.0)
+              * math.cos(math.acos(10.0 ** -1.5) / 3.0 - 2.0 * math.pi / 3.0)) / 12.0
+W_CRITICAL_D1 = float(_W_D1_TRIG - np.polyval(_THRESHOLD_D1, _W_D1_TRIG)
+                      / np.polyval(np.polyder(_THRESHOLD_D1), _W_D1_TRIG))
+
+_CRITICAL = {"d1": (W_CRITICAL_D1, _THRESHOLD_D1), "d2": (W_CRITICAL_D2, _THRESHOLD_D2)}
 
 _SCAN_STEP = 1e-4
 _SCAN_HORIZON = 10.0
@@ -259,39 +280,20 @@ def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
     )
 
 
-def _d1_grows_at(w: float) -> bool:
-    p = FamilyParams("discordant", w=w, s=s_max(w))
-    gt = np.arange(0.0, _SCAN_HORIZON + _SCAN_STEP, _SCAN_STEP)
-    return _grows(_d1_values(_x_elements(p), "A", gt))
-
-
 def find_critical_w(kind: str, tol: float = 1e-4) -> float:
     """Critical coupling above which (w, s_max(w)) grows under side-A emission.
 
-    kind="d2" returns the analytic root (2 - sqrt 2)/8 after verifying
-    it solves 8 s_max(w)^2 = 1/2 - 4 w + 8 w^2 within tol.  kind="d1"
-    bisects the scan predicate on the bracket (w_c - 0.01, 0.25) down
-    to width tol.
+    Returns W_CRITICAL_D2 for kind="d2" and W_CRITICAL_D1 for kind="d1",
+    the lower roots in (0, 1/4) of their threshold polynomials (module
+    docstring), after checking that the polynomial's residual at the root
+    is within tol.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if kind == "d2":
-        w = W_CRITICAL_D2
-        lhs = 8.0 * s_max(w) ** 2
-        rhs = 0.5 - 4.0 * w + 8.0 * w * w
-        if abs(lhs - rhs) > tol:
-            raise RuntimeError(f"analytic root check failed: |{lhs!r} - {rhs!r}| > {tol!r}")
-        return w
-    if kind == "d1":
-        lo, hi = W_CRITICAL_D2 - 0.01, 0.25
-        p_lo, p_hi = _d1_grows_at(lo), _d1_grows_at(hi)
-        if p_lo == p_hi:
-            raise NoSignChange(f"predicate is {p_lo} at both bracket ends ({lo}, {hi})")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _d1_grows_at(mid) == p_hi:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-    raise ValueError(f"kind must be 'd1' or 'd2', got {kind!r}")
+    if kind not in _CRITICAL:
+        raise ValueError(f"kind must be 'd1' or 'd2', got {kind!r}")
+    w, coeffs = _CRITICAL[kind]
+    residual = float(np.polyval(coeffs, w))
+    if abs(residual) > tol:
+        raise RuntimeError(f"threshold root check failed: residual {residual!r} exceeds {tol!r}")
+    return w

@@ -46,7 +46,7 @@ class SizeMismatch(ValueError):
 
 
 class NonHermitianInput(ValueError):
-    """Hermiticity defect exceeds the caller's tolerance."""
+    """Hermiticity defect exceeds the accepted 1e-10."""
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,24 +77,24 @@ def _as_square(m, sizes=(2, 3, 4), stack: bool = False) -> np.ndarray:
     return a
 
 
-def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian 2x2/3x3/4x4 matrix, or of
     each matrix in a stack (..., k, k).
 
-    The input is checked against `tol` for Hermiticity (largest modulus
-    of m - m^dagger over the whole stack), symmetrized, and diagonalized
-    by `np.linalg.eigvalsh`.
+    The input is checked for Hermiticity (largest modulus of m - m^dagger
+    over the whole stack, at most 1e-10), symmetrized, and diagonalized by
+    `np.linalg.eigvalsh`.
     """
     a = _as_square(m, stack=True)
     defect = float(np.max(np.abs(a - dagger(a)), initial=0.0))
-    if defect > tol:
-        raise NonHermitianInput(f"hermiticity defect {defect:g} exceeds tol {tol:g}")
+    if defect > 1e-10:
+        raise NonHermitianInput(f"hermiticity defect {defect:g} exceeds tol 1e-10")
     return np.linalg.eigvalsh(0.5 * (a + dagger(a)))
 
 
-def trace_norm(m, tol: float = 1e-10) -> float:
+def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (Schatten 1-norm)."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(m, tol=tol))))
+    return float(np.sum(np.abs(hermitian_eigenvalues(m))))
 
 
 def hs_norm_sq(m) -> float:

@@ -69,10 +69,10 @@ projections of x off the eigenvectors of Q, and d1_exact evaluates F on
 each.  Every value it compares is a true value of F, so the result never
 undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
 
-Both oracles scan a Fibonacci lattice of measurement axes and refine the
-best grid point with a Nelder-Mead simplex, which keeps them independent
-of every closed form here.  scipy, which supplies the simplex, is
-imported on the first refinement only.
+Both oracles scan a Fibonacci lattice of 2000 measurement axes and refine
+the best grid point with at most 200 Nelder-Mead iterations, which keeps
+them independent of every closed form here.  scipy, which supplies the
+simplex, is imported on the first refinement only.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def d2_closed(rho) -> float:
     return float(_d2(bd.x_vec, bd.corr))
 
 
-def is_degenerate_x(xs: states.XState, tol: float = 1e-10) -> bool:
+def is_degenerate_x(xs: states.XState) -> bool:
     """True on the degenerate set of the X closed form for D1.
 
     The set is x = 0 with three coefficients of equal, nonzero magnitude;
@@ -176,10 +176,10 @@ def is_degenerate_x(xs: states.XState, tol: float = 1e-10) -> bool:
     a1, a2, a3, x, _ = _x_kernel_args(xs.r11, xs.r22, xs.r33, xs.r14, xs.r23)
     mags = (abs(a1), abs(a2), abs(a3))
     return (
-        abs(x) <= tol
-        and mags[0] > tol
-        and abs(mags[0] - mags[1]) <= tol
-        and abs(mags[1] - mags[2]) <= tol
+        abs(x) <= states.TOL
+        and mags[0] > states.TOL
+        and abs(mags[0] - mags[1]) <= states.TOL
+        and abs(mags[1] - mags[2]) <= states.TOL
     )
 
 
@@ -301,13 +301,9 @@ def _axis_from_angles(tp: np.ndarray) -> np.ndarray:
     return np.array([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
 
 
-def _sphere_minimize(objective, rho, grid: int, refine_iters: int):
-    if grid < 1:
-        raise ValueError("grid must be a positive integer")
-    if refine_iters < 0:
-        raise ValueError("refine_iters must be non-negative")
+def _sphere_minimize(objective, rho):
     rho = np.asarray(rho, dtype=complex)
-    axes = _fibonacci_axes(grid)
+    axes = _fibonacci_axes(2000)
     vals = objective(rho, axes)
     vmin = float(vals.min())
     cand = axes[vals <= vmin + 1e-14]
@@ -321,28 +317,23 @@ def _sphere_minimize(objective, rho, grid: int, refine_iters: int):
     def fun(tp):
         return float(objective(rho, _axis_from_angles(tp)[None, :])[0])
 
-    if refine_iters > 0:
-        res = minimize(
-            fun,
-            t0,
-            method="Nelder-Mead",
-            options={"maxiter": refine_iters, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        if res.fun < vmin:
-            vmin = float(res.fun)
-            best_axis = _axis_from_angles(res.x)
+    res = minimize(fun, t0, method="Nelder-Mead",
+                   options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
+    if res.fun < vmin:
+        vmin = float(res.fun)
+        best_axis = _axis_from_angles(res.x)
     best_axis = best_axis / np.sqrt(best_axis @ best_axis)
     return max(vmin, 0.0), best_axis
 
 
-def d2_oracle(rho, grid: int = 2000, refine_iters: int = 200):
+def d2_oracle(rho):
     """Brute-force Hilbert-Schmidt discord: (value, minimizing axis)."""
-    return _sphere_minimize(_d2_objective, rho, grid, refine_iters)
+    return _sphere_minimize(_d2_objective, rho)
 
 
-def d1_oracle(rho, grid: int = 2000, refine_iters: int = 200):
+def d1_oracle(rho):
     """Brute-force trace-norm discord: (value, minimizing axis)."""
-    return _sphere_minimize(_d1_objective, rho, grid, refine_iters)
+    return _sphere_minimize(_d1_objective, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def validate(m, tol: float = TOL) -> np.ndarray:
     tr = float(a.trace().real)
     if abs(tr - 1.0) > tol:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):g}")
-    lo = float(hermitian_eigenvalues(a, tol=max(tol, TOL))[0])
+    lo = float(hermitian_eigenvalues(a)[0])
     if lo < -tol:
         raise NotPositive(f"smallest eigenvalue {lo:g} below -tol {-tol:g}")
     return a
@@ -149,16 +149,16 @@ def from_x_state(x: XState) -> np.ndarray:
     return from_x_fields((x.r11, x.r22, x.r33, x.r44, x.r14, x.r23))
 
 
-def _x_test(a: np.ndarray, tol: float):
-    """Off-pattern entries above tol, the (r14, r23) entries, and which of
-    those have an imaginary part above tol or a real part below -tol."""
-    stray = (np.abs(a) > tol) & ~_X_PATTERN
+def _x_test(a: np.ndarray):
+    """Off-pattern entries above TOL, the (r14, r23) entries, and which of
+    those have an imaginary part above TOL or a real part below -TOL."""
+    stray = (np.abs(a) > TOL) & ~_X_PATTERN
     coh = a[..., [0, 1], [3, 2]]
-    bad = (np.abs(coh.imag) > tol) | (coh.real < -tol)
+    bad = (np.abs(coh.imag) > TOL) | (coh.real < -TOL)
     return stray, coh, bad
 
 
-def x_fields(m, tol: float = TOL):
+def x_fields(m):
     """The X test of `to_x_state` over a stack (..., 4, 4) of matrices.
 
     Returns (is_x, fields): is_x marks the matrices `to_x_state` accepts
@@ -169,34 +169,34 @@ def x_fields(m, tol: float = TOL):
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (4, 4):
         raise StateError(f"expected 4x4 matrices, got shape {a.shape}")
-    stray, coh, bad = _x_test(a, tol)
+    stray, coh, bad = _x_test(a)
     is_x = ~(np.any(stray, axis=(-2, -1)) | np.any(bad, axis=-1))
     diag = np.diagonal(a, axis1=-2, axis2=-1).real
     return is_x, np.concatenate([diag, np.maximum(coh.real, 0.0)], axis=-1)
 
 
-def to_x_state(m, tol: float = TOL) -> XState:
+def to_x_state(m) -> XState:
     """Extract XState fields, rejecting anything outside the X class.
 
-    Off-pattern entries above tol, coherence imaginary parts above tol,
-    or real coherences below -tol raise NotXShaped; phases are never
+    Off-pattern entries above TOL, coherence imaginary parts above TOL,
+    or real coherences below -TOL raise NotXShaped; phases are never
     silently absorbed.  The one-matrix case of `x_fields`.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
         raise StateError(f"expected a 4x4 matrix, got shape {a.shape}")
-    is_x, fields = x_fields(a, tol)
+    is_x, fields = x_fields(a)
     if not is_x:
-        stray, coh, bad = _x_test(a, tol)
+        stray, coh, bad = _x_test(a)
         if np.any(stray):
             where = [(int(j), int(k)) for j, k in np.argwhere(stray)]
             worst = float(np.max(np.abs(a[stray])))
             raise NotXShaped(
-                f"off-pattern entries at {where} (largest modulus {worst:g}) exceed tol {tol:g}"
+                f"off-pattern entries at {where} (largest modulus {worst:g}) exceed tol {TOL:g}"
             )
         k = int(np.argmax(bad))
         name, entry = ("r14", "r23")[k], coh[k]
-        if abs(entry.imag) > tol:
+        if abs(entry.imag) > TOL:
             raise NotXShaped(f"{name} has imaginary part {entry.imag:g}")
         raise NotXShaped(f"{name} is negative ({entry.real:g})")
     return XState(*fields.tolist())

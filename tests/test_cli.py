@@ -332,6 +332,7 @@ def test_critical_report(capsys):
     assert abs(w_c - (2.0 - math.sqrt(2.0)) / 8.0) < 1e-12
     assert abs(analytic - w_c) < 1e-15
     assert 0.0772 <= w_bar <= 0.0782
+    assert lines[2].split("=")[1].strip() == "0.077776954366495468"
     assert lines[3] == "w_bar_c > w_c: true"
 
 
@@ -546,7 +547,11 @@ def test_settable_value_count():
     ("critical", "--points", "11"),
     ("sweep", "--tmax", "2"),
     ("sweep", "--s-policy", "fixed"),
-], ids=["measure-gamma0", "critical-points", "sweep-tmax", "sweep-s-policy"])
+    ("figure", "2", "--point", "3"),
+    ("sweep", "--wc", "2", "--gam", "2"),
+    ("evolve", "--fam", "theta", "--th", "0.3"),
+], ids=["measure-gamma0", "critical-points", "sweep-tmax", "sweep-s-policy",
+        "figure-abbrev", "sweep-abbrev", "evolve-abbrev"])
 def test_removed_flags_exit_2(argv, capsys):
     assert main(list(argv)) == 2
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,12 +7,14 @@ closed forms actually produce.  See the reasons on the marks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from discordlab import dynamics, families, measures, states
 from discordlab.families import (
+    W_CRITICAL_D1,
     W_CRITICAL_D2,
     FamilyParams,
     ParamOutOfRange,
@@ -392,10 +394,43 @@ def test_find_critical_w_d2():
     assert abs(8.0 * s_max(w) ** 2 - (0.5 - 4.0 * w + 8.0 * w * w)) < 1e-12
 
 
+# the lower root of 64 w^3 - 16 w^2 - 12 w + 1 to 28 digits
+W_BAR_C = Fraction("0.0777769543664954749825703692")
+
+
+def d1_threshold_cubic(w):
+    """The cubic evaluated exactly at the double w."""
+    w = Fraction(w)
+    return ((64 * w - 16) * w - 12) * w + 1
+
+
 def test_find_critical_w_d1():
     w_bar = find_critical_w("d1", 1e-4)
+    assert w_bar == 0.07777695436649547
     assert 0.0772 <= w_bar <= 0.0782
     assert w_bar > find_critical_w("d2", 1e-12)
+
+
+def test_w_critical_d1_is_the_cubic_root():
+    assert abs(Fraction(W_CRITICAL_D1) - W_BAR_C) <= Fraction(1.4e-17)
+    assert d1_threshold_cubic(np.nextafter(W_CRITICAL_D1, 0.0)) > 0
+    assert d1_threshold_cubic(np.nextafter(W_CRITICAL_D1, 1.0)) < 0
+
+
+def test_d1_onset_at_w_critical_d1():
+    """Just above the root d1 of (w, s_max(w)) rises right after t = 0;
+    just below it never rises above its starting value."""
+    gt = np.linspace(0.0, 1e-2, 10001)
+    for dw, rises in ((-1e-6, False), (1e-6, True)):
+        w = W_CRITICAL_D1 + dw
+        vals = d1_timeseries_A(discordant(w, s_max(w)), gt).values
+        assert bool(np.any(vals[1:] > vals[0])) is rises, dw
+
+
+def test_regime_d1_flag_brackets_w_critical_d1():
+    for dw, grows in ((-1e-4, False), (1e-4, True)):
+        w = W_CRITICAL_D1 + dw
+        assert regime(discordant(w, s_max(w))).d1_increases_under_A is grows
 
 
 def test_find_critical_w_validation():

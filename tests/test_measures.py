@@ -160,21 +160,21 @@ def test_negativity_examples():
 
 
 def test_d2_oracle_examples():
-    val, _axis = d2_oracle(MAXMIX, 500, 50)
+    val, _axis = d2_oracle(MAXMIX)
     assert val < 1e-10
-    val, _axis = d2_oracle(theta_state(np.pi / 4), 2000, 200)
+    val, _axis = d2_oracle(theta_state(np.pi / 4))
     assert abs(val - 0.25) < 1e-6
 
 
 def test_d1_oracle_examples():
     for seed in range(3):
-        val, _axis = d1_oracle(random_product_state(seed), 2000, 200)
+        val, _axis = d1_oracle(random_product_state(seed))
         assert val < 1e-8
         assert d1_exact(random_product_state(seed)) < 1e-12
-    val, _axis = d1_oracle(theta_state(np.pi / 6), 2000, 200)
+    val, _axis = d1_oracle(theta_state(np.pi / 6))
     assert abs(val - 0.5 * np.sin(np.pi / 3)) < 1e-5
     assert abs(d1_exact(theta_state(np.pi / 6)) - 0.5 * np.sin(np.pi / 3)) < 1e-12
-    val, _axis = d1_oracle(bell_phi_plus(), 2000, 200)
+    val, _axis = d1_oracle(bell_phi_plus())
     assert abs(val - 1.0) < 1e-5
     assert abs(d1_exact(bell_phi_plus()) - 1.0) < 1e-12
     assert d1_exact(MAXMIX) == 0.0
@@ -182,8 +182,8 @@ def test_d1_oracle_examples():
 
 def test_oracle_axis_deterministic_and_unit():
     rho = sample_random_state(12, "x-shaped")
-    v1, a1 = d1_oracle(rho, 500, 50)
-    v2, a2 = d1_oracle(rho, 500, 50)
+    v1, a1 = d1_oracle(rho)
+    v2, a2 = d1_oracle(rho)
     assert v1 == v2
     np.testing.assert_array_equal(a1, a2)
     assert abs(np.linalg.norm(a1) - 1.0) < 1e-12
@@ -196,8 +196,8 @@ def test_local_unitary_invariance():
         rotated = u @ rho @ u.conj().T
         assert abs(d2_closed(rotated) - d2_closed(rho)) < 1e-10
         assert abs(negativity(rotated) - negativity(rho)) < 1e-10
-        d1_a = d1_oracle(rho, 2000, 200)[0]
-        d1_b = d1_oracle(rotated, 2000, 200)[0]
+        d1_a = d1_oracle(rho)[0]
+        d1_b = d1_oracle(rotated)[0]
         assert abs(d1_a - d1_b) < 1e-4
         assert abs(d1_exact(rotated) - d1_exact(rho)) < 1e-12
 
@@ -248,7 +248,7 @@ def test_d1_exact_never_above_oracle():
     for seed in range(50):
         rho = sample_random_state(seed, "full-rank")
         d1 = d1_exact(rho)
-        assert d1 <= d1_oracle(rho, 2000, 200)[0] + 1e-12
+        assert d1 <= d1_oracle(rho)[0] + 1e-12
         assert d1 * d1 >= d2_closed(rho) - 1e-12
 
 
@@ -305,7 +305,7 @@ def test_corner_sign_gauge_is_sound():
     for seed in (0, 1, 2):
         rho = sample_random_state(seed, "bell-diagonal")
         val = d1_closed_x(gauged_x(rho))
-        ref, _ = d1_oracle(rho, 2000, 200)
+        ref, _ = d1_oracle(rho)
         assert abs(val - ref) < 1e-5
         assert abs(d1_exact(rho) - val) < 1e-12
 
