@@ -17,7 +17,6 @@ from .dynamics import (
     InvalidTime,
     StepTooLarge,
     apply_channel,
-    asymptotic_state,
     evolve_states,
     integrate,
     lindblad_rhs,
@@ -42,9 +41,7 @@ from .linalg import (
     NonHermitianInput,
     SizeMismatch,
     hermitian_eigenvalues,
-    hs_norm_sq,
     kron,
-    partial_trace,
     partial_transpose,
     trace_norm,
 )
@@ -59,8 +56,6 @@ from .measures import (
     d2_x_kernel,
     is_degenerate_x,
     measure_batch,
-    measure_map,
-    measurement_axis,
     negativity,
 )
 from .states import (

@@ -29,6 +29,7 @@ validation errors, 4 on domain or parameter errors.
 
 import argparse
 import functools
+import math
 import os
 import stat
 import sys
@@ -105,11 +106,11 @@ def fill_settings(ns):
     for key, default in DEFAULTS.items():
         if hasattr(ns, key) and getattr(ns, key) is None:
             setattr(ns, key, given.get(key, default))
-    if ns.gamma0 <= 0.0:
-        raise ValueError(f"gamma0 must be positive, got {ns.gamma0!r}")
+    if not 0.0 < ns.gamma0 < math.inf:
+        raise ValueError(f"gamma0 must be positive and finite, got {ns.gamma0!r}")
     if hasattr(ns, "t_max"):  # sweep scans a fixed horizon instead
-        if ns.t_max <= 0.0:
-            raise ValueError(f"tmax must be positive, got {ns.t_max!r}")
+        if not 0.0 < ns.t_max < math.inf:
+            raise ValueError(f"tmax must be positive and finite, got {ns.t_max!r}")
         if ns.n_points < 2:
             raise ValueError(f"points must be at least 2, got {ns.n_points!r}")
 

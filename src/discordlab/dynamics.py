@@ -13,9 +13,9 @@ and the exact solution is the amplitude-damping channel with Kraus pair
 tensored with the identity on the untouched side.  `evolve_states`
 applies the Kraus form (exact for any t) at a whole vector of times in
 one step, building the Kraus operators per time; `apply_channel` is its
-one-time case and `asymptotic_state` its t = inf case.  `integrate`
-steps the master equation with fixed-step RK4 and exists as an
-independent cross-check of the channel, not as the production path.
+one-time case.  `integrate` steps the master equation with fixed-step
+RK4 and exists as an independent cross-check of the channel, not as the
+production path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "evolve_states",
     "lindblad_rhs",
     "integrate",
-    "asymptotic_state",
 ]
 
 
@@ -108,8 +107,7 @@ def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:
 
 def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:
     """Right-hand side of the emission master equation (traceless)."""
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+    _check_channel(side, gamma0, 0.0)
     a = np.asarray(rho, dtype=complex)
     out = np.zeros((4, 4), dtype=complex)
     ops = []
@@ -131,10 +129,7 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     end (positivity drift beyond 1e-8 raises NotPositive).  dt above
     0.1/gamma0 is rejected.
     """
-    if t_final < 0.0:
-        raise InvalidTime(f"t_final must be >= 0, got {t_final!r}")
-    if gamma0 <= 0.0:
-        raise ValueError(f"gamma0 must be positive, got {gamma0!r}")
+    _check_channel(side, gamma0, t_final)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > 0.1 / gamma0:
@@ -153,9 +148,3 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
     return states.validate(rho, tol=1e-8)
-
-
-def asymptotic_state(rho, side: str) -> np.ndarray:
-    """t -> infinity limit, `evolve_states` at t = inf: the decaying side in
-    its ground state, the other side's marginal intact."""
-    return evolve_states(rho, side, [np.inf])[0]

@@ -142,9 +142,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    measure: str
-    side: str
-    family: str
 
 
 @dataclass(frozen=True)
@@ -217,37 +214,40 @@ def _d2_values(el, side: str, gt: np.ndarray) -> np.ndarray:
     return measures.d2_x_kernel(*_coefficients(el, side, gt)[:4])
 
 
-def _series(p, times, gamma0, side, measure, values_fn) -> TimeSeries:
+def _check_gamma0(gamma0: float) -> None:
+    if gamma0 <= 0.0:
+        raise ValueError(f"gamma0 must be positive, got {gamma0!r}")
+
+
+def _series(p, times, gamma0, side, values_fn) -> TimeSeries:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
     if np.any(t < 0.0):
         raise ValueError("times must be non-negative")
-    if gamma0 <= 0.0:
-        raise ValueError(f"gamma0 must be positive, got {gamma0!r}")
+    _check_gamma0(gamma0)
     gt = gamma0 * t
-    vals = values_fn(_x_elements(p), side, gt)
-    return TimeSeries(times=gt, values=vals, measure=measure, side=side, family=p.family)
+    return TimeSeries(times=gt, values=values_fn(_x_elements(p), side, gt))
 
 
 def d1_timeseries_A(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
     """Trace-norm discord along side-A emission, evaluated in closed form."""
-    return _series(p, times, gamma0, "A", "d1", _d1_values)
+    return _series(p, times, gamma0, "A", _d1_values)
 
 
 def d2_timeseries_A(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
     """Hilbert-Schmidt discord along side-A emission."""
-    return _series(p, times, gamma0, "A", "d2", _d2_values)
+    return _series(p, times, gamma0, "A", _d2_values)
 
 
 def d1_timeseries_B(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
     """Trace-norm discord while the unmeasured side B decays."""
-    return _series(p, times, gamma0, "B", "d1", _d1_values)
+    return _series(p, times, gamma0, "B", _d1_values)
 
 
 def d2_timeseries_B(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
     """Hilbert-Schmidt discord while the unmeasured side B decays."""
-    return _series(p, times, gamma0, "B", "d2", _d2_values)
+    return _series(p, times, gamma0, "B", _d2_values)
 
 
 def _grows(values: np.ndarray) -> bool:
@@ -263,6 +263,7 @@ def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
     """
     if p.family not in ("classical", "discordant"):
         raise ParamOutOfRange("regime() applies to the classical and discordant families")
+    _check_gamma0(gamma0)
     el = _x_elements(p)
     gt = np.arange(0.0, _SCAN_HORIZON + _SCAN_STEP, _SCAN_STEP)
     side_a = _coefficients(el, "A", gt)

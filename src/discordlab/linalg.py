@@ -30,13 +30,10 @@ __all__ = [
     "I2",
     "I4",
     "SIGMA_MINUS",
-    "SIGMA_PLUS",
     "dagger",
     "hermitian_eigenvalues",
     "trace_norm",
-    "hs_norm_sq",
     "kron",
-    "partial_trace",
     "partial_transpose",
 ]
 
@@ -56,9 +53,8 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 
-# lowering |g><e| and raising |e><g| in the excited-first basis
+# the lowering operator |g><e| in the excited-first basis
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -97,28 +93,11 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(hermitian_eigenvalues(m))))
 
 
-def hs_norm_sq(m) -> float:
-    """Squared Hilbert-Schmidt norm, sum_ij |m_ij|^2."""
-    a = _as_square(m)
-    return float(np.sum(a.real**2 + a.imag**2))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 operators, A-side as the left factor."""
     a = _as_square(a, sizes=(2,))
     b = _as_square(b, sizes=(2,))
     return np.kron(a, b)
-
-
-def partial_trace(m, subsystem: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 operator; returns the other's 2x2 marginal."""
-    a = _as_square(m, sizes=(4,))
-    r = a.reshape(2, 2, 2, 2)
-    if subsystem == "A":
-        return np.einsum("ijil->jl", r)
-    if subsystem == "B":
-        return np.einsum("ijkj->ik", r)
-    raise ValueError("subsystem must be 'A' or 'B'")
 
 
 def partial_transpose(m, subsystem: str) -> np.ndarray:

@@ -83,8 +83,6 @@ from . import linalg, states
 from .linalg import I2, PAULIS
 
 __all__ = [
-    "measurement_axis",
-    "measure_map",
     "measure_batch",
     "d2_closed",
     "is_degenerate_x",
@@ -100,26 +98,6 @@ __all__ = [
 
 _PAULI_STACK = np.stack(PAULIS)  # (3, 2, 2)
 _TINY = np.finfo(float).tiny
-
-
-def measurement_axis(n) -> np.ndarray:
-    """Validate a Bloch axis: real 3-vector of unit length within 1e-12."""
-    v = np.asarray(n, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"axis must be a 3-vector, got shape {v.shape}")
-    norm = float(np.sqrt(v @ v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"axis norm {norm!r} is not 1 within 1e-12")
-    return v
-
-
-def measure_map(rho, axis) -> np.ndarray:
-    """Project subsystem A onto the +/- eigenstates of axis . sigma.
-
-    Returns sum_pm (P_pm x I) rho (P_pm x I); idempotent and
-    trace-preserving.  The one-axis case of `_measured_batch`.
-    """
-    return _measured_batch(np.asarray(rho, dtype=complex), measurement_axis(axis)[None])[0]
 
 
 def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -84,11 +84,13 @@ TOL = 1e-10
 
 
 def validate(m, tol: float = TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the symmetrized matrix.
+    """Check Hermiticity, finiteness, unit trace and positivity; return the
+    symmetrized matrix.
 
     Raises NotHermitian / TraceNotOne / NotPositive with the offending
-    magnitude in the message.  Positivity allows eigenvalues down to
-    -tol.
+    magnitude in the message, and StateError if an entry of the
+    symmetrized matrix is not finite.  Positivity allows eigenvalues
+    down to -tol.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
@@ -96,7 +98,10 @@ def validate(m, tol: float = TOL) -> np.ndarray:
     defect = float(np.max(np.abs(a - a.conj().T)))
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:g} exceeds tol {tol:g}")
-    a = 0.5 * (a + a.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        a = 0.5 * (a + a.conj().T)
+    if not np.all(np.isfinite(a)):
+        raise StateError("matrix has entries that are not finite")
     tr = float(a.trace().real)
     if abs(tr - 1.0) > tol:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):g}")

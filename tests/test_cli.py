@@ -120,6 +120,27 @@ def test_measure_invalid_state(tmp_path, capsys):
     assert "error:" in err
 
 
+def non_finite_state_files(tmp_path):
+    """Files that parse but hold a NaN entry, or a pair that overflows when symmetrized."""
+    lines = ["0.25,0" if i in (0, 5, 10, 15) else "0,0" for i in range(16)]
+    for name, where, text in (("nan11", (0,), "nan,0"), ("nan14", (3,), "nan,0"),
+                              ("nan41", (12,), "nan,0"), ("huge", (6, 9), "1e308,0")):
+        entries = list(lines)
+        for i in where:
+            entries[i] = text
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(entries) + "\n")
+        yield path
+
+
+def test_measure_and_evolve_reject_non_finite_entries(tmp_path, capsys):
+    for path in non_finite_state_files(tmp_path):
+        for argv in (("measure", str(path)), ("evolve", str(path), "--points", "3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, ""), (path.name, argv[0], err)
+            assert "not finite" in err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -507,6 +528,24 @@ def test_bad_numeric_flags(capsys):
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
                            "--w", "0.25", "--s", "0.25", "--gamma0", "-1")
     assert code == 4 and "error:" in err
+
+
+def test_non_finite_gamma0_and_tmax_exit_4(tmp_path, capsys):
+    family = ("--family", "classical", "--w", "0.25", "--s", "0.25")
+    cases = [
+        (("figure", "2", "--points", "3", "--out", str(tmp_path / "f.csv")), "gamma0", "inf"),
+        (("sweep", "--wcount", "2"), "gamma0", "nan"),
+        (("evolve", *family, "--points", "3"), "gamma0", "-inf"),
+        (("evolve", *family, "--points", "3"), "tmax", "nan"),
+        (("figure", "4", "--points", "3", "--out", str(tmp_path / "f.csv")), "tmax", "inf"),
+    ]
+    cfg = tmp_path / "run.cfg"
+    for argv, option, value in cases:
+        cfg.write_text(f"{option} = {value}\n")
+        for source in ((f"--{option}={value}",), ("--config", str(cfg))):
+            code, out, err = run_cli(capsys, *argv, *source)
+            assert (code, out) == (4, ""), (argv, source, err)
+            assert f"error: {option} must be positive and finite" in err
 
 
 # the long options and positional arguments each subcommand reads, and no more

@@ -10,7 +10,6 @@ from discordlab.dynamics import (
     InvalidTime,
     StepTooLarge,
     apply_channel,
-    asymptotic_state,
     evolve_states,
     integrate,
     lindblad_rhs,
@@ -25,6 +24,11 @@ KET_GG[3, 3] = 1.0
 
 def trace_distance(a, b):
     return 0.5 * linalg.trace_norm(a - b)
+
+
+def asymptotic_state(rho, side):
+    """The t -> infinity state: `evolve_states` at t = inf."""
+    return evolve_states(rho, side, [np.inf])[0]
 
 
 def evolved_x_elements(xs, side, gt):
@@ -148,6 +152,9 @@ def test_integrate_examples():
 
     with pytest.raises(StepTooLarge):
         integrate(rho, "A", 1.0, 1.0, dt=0.2)
+    # side is checked even where no step runs
+    with pytest.raises(ValueError):
+        integrate(rho, "C", 1.0, 0.0)
 
 
 def test_asymptotic_state_examples():

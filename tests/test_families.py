@@ -6,6 +6,7 @@ numerically verified gap between a stated expectation and what the
 closed forms actually produce.  See the reasons on the marks.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -185,7 +186,7 @@ def test_d2_series_discordant_t0():
 def test_d2_series_asymptotic_consistency():
     for p in (discordant(0.3, 0.15), classical(0.2, s_max(0.2))):
         v = d2_timeseries_A(p, [40.0]).values[0]
-        far = measures.d2_closed(dynamics.asymptotic_state(make_state(p), "A"))
+        far = measures.d2_closed(dynamics.evolve_states(make_state(p), "A", [np.inf])[0])
         assert abs(v - far) < 1e-10
 
 
@@ -193,7 +194,7 @@ def test_timeseries_metadata_and_gamma0():
     p = classical(0.25, 0.25)
     ts = d1_timeseries_A(p, [0.5, 1.0], gamma0=2.0)
     np.testing.assert_allclose(ts.times, [1.0, 2.0], atol=1e-15)
-    assert (ts.measure, ts.side, ts.family) == ("d1", "A", "classical")
+    assert [f.name for f in dataclasses.fields(ts)] == ["times", "values"]
     same_gt = d1_timeseries_A(p, [1.0, 2.0], gamma0=1.0).values
     np.testing.assert_allclose(ts.values, same_gt, atol=1e-15)
 
@@ -303,6 +304,13 @@ def test_regime_classical_creation():
 def test_regime_rejects_theta_family():
     with pytest.raises(ParamOutOfRange):
         regime(FamilyParams("theta", theta=0.3))
+
+
+def test_regime_rejects_nonpositive_gamma0():
+    # gamma0 = 0 used to divide by zero in t_zero, and -1 gave a negative t_zero
+    for gamma0 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma0 must be positive"):
+            regime(discordant(0.4, 0.2), gamma0)
 
 
 def test_t_zero_presence_and_scaling():

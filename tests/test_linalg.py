@@ -1,5 +1,5 @@
 """Matrix kernel: eigenvalues against a characteristic-polynomial oracle,
-norms, Kronecker products, partial trace and partial transpose."""
+norms, Kronecker products and partial transpose."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,7 @@ from discordlab.linalg import (
     SizeMismatch,
     dagger,
     hermitian_eigenvalues,
-    hs_norm_sq,
     kron,
-    partial_trace,
     partial_transpose,
     trace_norm,
 )
@@ -65,7 +63,7 @@ def test_eigenvalues_against_char_poly_oracle():
             residual = np.abs(np.polyval(coeffs, eigs)) / scale
             assert np.max(residual) < 1e-10
             assert abs(np.sum(eigs) - np.trace(m).real) < 1e-10
-            assert abs(np.sum(eigs**2) - hs_norm_sq(m)) < 1e-10
+            assert abs(np.sum(eigs**2) - np.sum(np.abs(m) ** 2)) < 1e-10
 
 
 def test_eigenvalues_against_library_solver():
@@ -96,20 +94,13 @@ def test_trace_norm_examples():
     assert abs(trace_norm(pt) - 2.0) < 1e-12
 
 
-def test_hs_norm_sq_examples():
-    assert abs(hs_norm_sq(I4) - 4.0) < 1e-14
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 2] = 3j
-    assert abs(hs_norm_sq(m) - 9.0) < 1e-14
-
-
 def test_norm_ordering_invariants():
     rng = np.random.default_rng(3)
     for _ in range(30):
         m = random_hermitian(rng, 4)
         tn = trace_norm(m)
         assert tn >= abs(np.trace(m).real) - 1e-12
-        assert hs_norm_sq(m) <= tn * tn + 1e-10
+        assert np.sum(np.abs(m) ** 2) <= tn * tn + 1e-10
 
 
 def test_kron_basis_ordering():
@@ -139,30 +130,6 @@ def test_kron_correlation_entry_on_x_state():
     rho[1, 2] = rho[2, 1] = r23
     t11 = np.trace(rho @ kron(PAULI_X, PAULI_X)).real
     assert abs(t11 - 2 * (r23 + r14)) < 1e-14
-
-
-def test_partial_trace_examples():
-    from discordlab import families
-
-    rho0 = families.make_state(families.FamilyParams("classical", w=0.25, s=0.25))
-    np.testing.assert_allclose(partial_trace(rho0, "A"), I2 / 2, atol=1e-14)
-
-    rng = np.random.default_rng(9)
-    p, q = random_hermitian(rng, 2), random_hermitian(rng, 2)
-    np.testing.assert_allclose(partial_trace(kron(p, q), "B"), p * np.trace(q),
-                               atol=1e-13)
-
-    rho_d = families.make_state(families.FamilyParams("discordant", w=0.2, s=0.2))
-    np.testing.assert_allclose(partial_trace(rho_d, "A"), np.diag([0.5, 0.5]),
-                               atol=1e-14)
-    np.testing.assert_allclose(partial_trace(rho_d, "B"), np.diag([0.4, 0.6]),
-                               atol=1e-14)
-    assert abs(np.trace(partial_trace(rho_d, "A")) - np.trace(rho_d)) < 1e-14
-
-
-def test_partial_trace_rejects_wrong_size():
-    with pytest.raises(SizeMismatch):
-        partial_trace(np.eye(2), "A")
 
 
 def test_partial_transpose_examples():

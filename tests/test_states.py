@@ -9,6 +9,7 @@ from discordlab.states import (
     NotHermitian,
     NotPositive,
     NotXShaped,
+    StateError,
     StateFileError,
     TraceNotOne,
     XState,
@@ -44,6 +45,20 @@ def test_validate_reports_violation_magnitude():
     assert any(ch.isdigit() for ch in str(exc.value))
     with pytest.raises(TraceNotOne):
         validate(np.eye(4, dtype=complex))
+
+
+def test_validate_rejects_non_finite_entries():
+    # NaN fails no comparison, and a symmetric pair of 1e308 overflows when
+    # symmetrized; both used to pass and break the eigensolver downstream
+    for where, value in (((0, 0), np.nan), ((0, 3), np.nan), ((3, 0), np.nan)):
+        m = MAXMIX.copy()
+        m[where] = value
+        with pytest.raises(StateError):
+            validate(m)
+    m = MAXMIX.copy()
+    m[1, 2] = m[2, 1] = 1e308
+    with pytest.raises(StateError):
+        validate(m)
 
 
 def test_validate_symmetrizes_small_asymmetry():
