@@ -13,8 +13,9 @@ and the exact solution is the amplitude-damping channel with Kraus pair
 tensored with the identity on the untouched side.  `evolve_states`
 applies the Kraus form (exact for any t) at a whole vector of times in
 one step, building the Kraus operators per time; `apply_channel` is its
-one-time case.  `integrate` steps the master equation with fixed-step
-RK4 and exists as an independent cross-check of the channel, not as the
+one-time case.  `lindblad_rhs` is the generator as one 16x16 matrix on
+vec(rho).  `integrate` steps the master equation with fixed-step RK4
+and exists as an independent cross-check of the channel, not as the
 production path.
 """
 
@@ -39,7 +40,7 @@ __all__ = [
 
 
 class InvalidTime(ValueError):
-    """Negative evolution time."""
+    """Negative or NaN evolution time, or an infinite integration horizon."""
 
 
 class StepTooLarge(ValueError):
@@ -63,9 +64,9 @@ class EmissionChannel:
 def _check_channel(side: str, gamma0: float, t_min: float) -> None:
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if gamma0 <= 0.0:
-        raise ValueError(f"gamma0 must be positive, got {gamma0!r}")
-    if t_min < 0.0:
+    if not 0.0 < gamma0 < np.inf:
+        raise ValueError(f"gamma0 must be positive and finite, got {gamma0!r}")
+    if not t_min >= 0.0:
         raise InvalidTime(f"evolution time must be >= 0, got {t_min!r}")
 
 
@@ -105,46 +106,55 @@ def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:
     return evolve_states(rho, ch.side, [ch.t], ch.gamma0)[0]
 
 
-def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:
-    """Right-hand side of the emission master equation (traceless)."""
-    _check_channel(side, gamma0, 0.0)
-    a = np.asarray(rho, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
+def _liouvillian(side: str, gamma0: float) -> np.ndarray:
+    """The generator as a (16, 16) matrix on row-major vec, vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(4)
+    out = np.zeros((16, 16), dtype=complex)
     ops = []
     if side in ("A", "both"):
         ops.append(kron(SIGMA_MINUS, I2))
     if side in ("B", "both"):
         ops.append(kron(I2, SIGMA_MINUS))
     for sm in ops:
-        sp = sm.conj().T
-        n_op = sp @ sm
-        out += 0.5 * gamma0 * (2.0 * sm @ a @ sp - n_op @ a - a @ n_op)
+        n_op = sm.conj().T @ sm
+        out += 0.5 * gamma0 * (2.0 * np.kron(sm, sm.conj())
+                               - np.kron(n_op, eye) - np.kron(eye, n_op.T))
     return out
+
+
+def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:
+    """Right-hand side of the emission master equation (traceless)."""
+    _check_channel(side, gamma0, 0.0)
+    return (_liouvillian(side, gamma0) @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
 
 
 def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     """Fixed-step RK4 integration of the master equation up to t_final.
 
-    The state is re-symmetrized after every step and validated at the
-    end (positivity drift beyond 1e-8 raises NotPositive).  dt above
-    0.1/gamma0 is rejected.
+    For the linear, time-independent generator L one RK4 step of length
+    h is P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, built once per
+    step length: stepwise RK4 in exact arithmetic.  The state is
+    re-symmetrized after every step and validated at the end (drift
+    beyond 1e-8 raises NotPositive).  A non-finite t_final, a dt not
+    positive and finite, or a dt above 0.1/gamma0 is rejected first.
     """
+    if not np.isfinite(t_final):
+        raise InvalidTime(f"t_final must be finite, got {t_final!r}")
     _check_channel(side, gamma0, t_final)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if dt > 0.1 / gamma0:
         raise StepTooLarge(f"dt {dt!r} exceeds 0.1/gamma0 = {0.1 / gamma0!r}")
+    lv = _liouvillian(side, gamma0)
+    eye = np.eye(16)
     rho = np.asarray(rho0, dtype=complex).copy()
     n_full = int(np.floor(t_final / dt + 1e-12))
     rem = t_final - n_full * dt
-    steps = [dt] * n_full
-    if rem > 1e-15:
-        steps.append(rem)
-    for h in steps:
-        k1 = lindblad_rhs(rho, side, gamma0)
-        k2 = lindblad_rhs(rho + 0.5 * h * k1, side, gamma0)
-        k3 = lindblad_rhs(rho + 0.5 * h * k2, side, gamma0)
-        k4 = lindblad_rhs(rho + h * k3, side, gamma0)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
+    for h, count in [(dt, n_full)] + ([(rem, 1)] if rem > 1e-15 else []):
+        prop = eye  # Horner: P(h) = I + hL (I + hL/2 (I + hL/3 (I + hL/4)))
+        for k in (4, 3, 2, 1):
+            prop = eye + (h / k) * (lv @ prop)
+        for _ in range(count):
+            rho = (prop @ rho.reshape(16)).reshape(4, 4)
+            rho = 0.5 * (rho + rho.conj().T)
     return states.validate(rho, tol=1e-8)

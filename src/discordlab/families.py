@@ -215,16 +215,16 @@ def _d2_values(el, side: str, gt: np.ndarray) -> np.ndarray:
 
 
 def _check_gamma0(gamma0: float) -> None:
-    if gamma0 <= 0.0:
-        raise ValueError(f"gamma0 must be positive, got {gamma0!r}")
+    if not 0.0 < gamma0 < np.inf:
+        raise ValueError(f"gamma0 must be positive and finite, got {gamma0!r}")
 
 
 def _series(p, times, gamma0, side, values_fn) -> TimeSeries:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(t < 0.0):
-        raise ValueError("times must be non-negative")
+    if not np.all(t >= 0.0):
+        raise ValueError("times must be non-negative and not NaN")
     _check_gamma0(gamma0)
     gt = gamma0 * t
     return TimeSeries(times=gt, values=values_fn(_x_elements(p), side, gt))

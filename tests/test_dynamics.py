@@ -1,5 +1,6 @@
-"""Emission channels: Kraus action, element tables, the Lindblad generator,
-the RK4 cross-check oracle and asymptotic states."""
+"""Emission channels: Kraus action, element tables, the Lindblad generator
+against its operator sum, the RK4 cross-check against stepwise RK4, and
+asymptotic states."""
 
 import numpy as np
 import pytest
@@ -55,6 +56,25 @@ def test_channel_field_validation():
         evolve_states(np.eye(4) / 4, "A", [0.0, 1.0, -0.1])
     with pytest.raises(ValueError):
         evolve_states(np.eye(4) / 4, "C", [1.0])
+
+
+def test_channel_rejects_nan_gamma0_and_times():
+    # NaN fails every comparison, so a check written as "reject if x <= 0" passes it
+    nan = float("nan")
+    for gamma0 in (nan, np.inf):
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            EmissionChannel("A", 1.0, gamma0=gamma0)
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            evolve_states(np.eye(4) / 4, "A", [1.0], gamma0)
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            lindblad_rhs(np.eye(4) / 4, "A", gamma0)
+    with pytest.raises(InvalidTime):
+        EmissionChannel("A", nan)
+    with pytest.raises(InvalidTime):
+        evolve_states(np.eye(4) / 4, "A", [0.5, nan])
+    # t = inf stays valid: it is the asymptotic state
+    np.testing.assert_allclose(evolve_states(KET_EE, "both", [np.inf])[0], KET_GG, atol=1e-15)
+    EmissionChannel("B", np.inf)
 
 
 def test_apply_channel_identity_at_t0():
@@ -139,6 +159,57 @@ def test_lindblad_rhs_examples():
             np.testing.assert_allclose(rhs, rhs.conj().T, atol=1e-14)
 
 
+SM_A = linalg.kron(linalg.SIGMA_MINUS, linalg.I2)
+SM_B = linalg.kron(linalg.I2, linalg.SIGMA_MINUS)
+DECAYING = {"A": [SM_A], "B": [SM_B], "both": [SM_A, SM_B]}
+
+
+def _operator_sum_rhs(rho, side, gamma0):
+    """gamma0/2 (2 s- rho s+ - s+ s- rho - rho s+ s-), summed over the decaying sides."""
+    out = np.zeros((4, 4), dtype=complex)
+    for sm in DECAYING[side]:
+        sp = sm.conj().T
+        out += 0.5 * gamma0 * (2.0 * sm @ rho @ sp - sp @ sm @ rho - rho @ sp @ sm)
+    return out
+
+
+def test_lindblad_rhs_is_the_operator_sum():
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if trial % 2:
+            m = m + m.conj().T
+        for side in ("A", "B", "both"):
+            np.testing.assert_allclose(lindblad_rhs(m, side, 1.3), _operator_sum_rhs(m, side, 1.3),
+                                       rtol=0, atol=1e-15)
+
+
+def _stepwise_rk4(rho, side, gamma0, t_final, dt):
+    """The four-stage RK4 loop on the operator sum, with integrate's step rule."""
+    rho = np.asarray(rho, dtype=complex)
+    n_full = int(np.floor(t_final / dt + 1e-12))
+    rem = t_final - n_full * dt
+    for h in [dt] * n_full + ([rem] if rem > 1e-15 else []):
+        k1 = _operator_sum_rhs(rho, side, gamma0)
+        k2 = _operator_sum_rhs(rho + 0.5 * h * k1, side, gamma0)
+        k3 = _operator_sum_rhs(rho + 0.5 * h * k2, side, gamma0)
+        k4 = _operator_sum_rhs(rho + h * k3, side, gamma0)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
+def test_integrate_is_stepwise_rk4():
+    # t_final = 0.3337 at dt = 1e-3 leaves a remainder step of 7e-4
+    for seed in range(5):
+        rho = sample_random_state(seed, "full-rank")
+        for side in ("A", "B", "both"):
+            for t_final in (1.0, 0.3337):
+                out = integrate(rho, side, 1.0, t_final, dt=1e-3)
+                ref = _stepwise_rk4(rho, side, 1.0, t_final, 1e-3)
+                assert np.max(np.abs(out - ref)) < 1e-13, (seed, side, t_final)
+
+
 def test_integrate_examples():
     rho = families.make_state(families.FamilyParams("discordant", w=0.4, s=0.2))
     np.testing.assert_allclose(integrate(rho, "A", 1.0, 0.0), rho, atol=1e-15)
@@ -155,6 +226,19 @@ def test_integrate_examples():
     # side is checked even where no step runs
     with pytest.raises(ValueError):
         integrate(rho, "C", 1.0, 0.0)
+
+    for seed in range(5):
+        full = sample_random_state(seed, "full-rank")
+        out = integrate(full, "both", 1.0, 1.0, dt=1e-3)
+        assert np.max(np.abs(out - apply_channel(full, EmissionChannel("both", 1.0)))) < 1e-8
+
+    # non-finite inputs are named before any step runs
+    for t_final in (np.inf, -np.inf, float("nan")):
+        with pytest.raises(InvalidTime, match="t_final must be finite"):
+            integrate(rho, "A", 1.0, t_final)
+    for dt in (0.0, -1e-3, np.inf, float("nan")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate(rho, "A", 1.0, 1.0, dt=dt)
 
 
 def test_asymptotic_state_examples():

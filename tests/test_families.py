@@ -211,6 +211,21 @@ def test_timeseries_input_validation():
         d1_timeseries_A(p, [0.0, 1.0], gamma0=0.0)
 
 
+def test_nan_gamma0_and_times_rejected():
+    # NaN fails every comparison, so a check written as "reject if x <= 0" passes it
+    p = classical(0.25, 0.25)
+    nan = float("nan")
+    for gamma0 in (nan, math.inf):
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            d1_timeseries_A(p, [1.0], gamma0)
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            regime(discordant(0.4, 0.2), gamma0)
+    with pytest.raises(ValueError, match="not NaN"):
+        d1_timeseries_A(p, [0.5, nan])
+    # t = inf stays valid: the classical d1 curve decays to 0
+    assert d1_timeseries_A(p, [math.inf]).values[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # side-B decay curves
 
