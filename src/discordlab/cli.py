@@ -106,8 +106,7 @@ def fill_settings(ns):
     for key, default in DEFAULTS.items():
         if hasattr(ns, key) and getattr(ns, key) is None:
             setattr(ns, key, given.get(key, default))
-    if not 0.0 < ns.gamma0 < math.inf:
-        raise ValueError(f"gamma0 must be positive and finite, got {ns.gamma0!r}")
+    dynamics._check_gamma0(ns.gamma0)
     if hasattr(ns, "t_max"):  # sweep scans a fixed horizon instead
         if not 0.0 < ns.t_max < math.inf:
             raise ValueError(f"tmax must be positive and finite, got {ns.t_max!r}")
@@ -194,11 +193,12 @@ def _figure_rows(ns):
         # the D1 curve of this state touches zero at t0 = ln(4w)/gamma0, which a
         # uniform grid never samples closely enough to show; add the exact point
         t = np.sort(np.append(t, np.log(4.0 * w) / ns.gamma0))
-    d2 = families.d2_timeseries_A(p, t, ns.gamma0)
+    gt = ns.gamma0 * t  # the families work in gamma0 t
+    d2 = families.d2_timeseries_A(p, gt)
     if ns.n == 6:
-        d2_b = families.d2_timeseries_B(p, t, ns.gamma0)
+        d2_b = families.d2_timeseries_B(p, gt)
         return _columns(d2.times, np.sqrt(d2.values), np.sqrt(d2_b.values))
-    d1 = families.d1_timeseries_A(p, t, ns.gamma0)
+    d1 = families.d1_timeseries_A(p, gt)
     return _columns(d1.times, d1.values, np.sqrt(d2.values))
 
 
@@ -235,8 +235,8 @@ def cmd_sweep(ns) -> int:
         except families.ParamOutOfRange as exc:
             print(f"warning: skipping w={fmt(w)}, s={fmt(s)}: {exc}", file=sys.stderr)
             continue
-        rep = families.regime(p, ns.gamma0)
-        t_zero = float("nan") if rep.t_zero is None else rep.t_zero
+        rep = families.regime(p)
+        t_zero = float("nan") if rep.t_zero is None else rep.t_zero / ns.gamma0
         rows.append([fmt(rep.w), fmt(rep.s), fmt_bool(rep.d2_increases_under_A),
                      fmt_bool(rep.d1_increases_under_A), fmt_bool(rep.d2_increases_under_B),
                      fmt(t_zero)])

@@ -61,19 +61,17 @@ class EmissionChannel:
         _check_channel(self.side, self.gamma0, self.t)
 
 
+def _check_gamma0(gamma0: float) -> None:
+    if not 0.0 < gamma0 < np.inf:  # the one rate rule, shared with the CLI; NaN fails it
+        raise ValueError(f"gamma0 must be positive and finite, got {gamma0!r}")
+
+
 def _check_channel(side: str, gamma0: float, t_min: float) -> None:
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if not 0.0 < gamma0 < np.inf:
-        raise ValueError(f"gamma0 must be positive and finite, got {gamma0!r}")
+    _check_gamma0(gamma0)
     if not t_min >= 0.0:
         raise InvalidTime(f"evolution time must be >= 0, got {t_min!r}")
-
-
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a, b) of 2x2 factors, per row where either is a stack (n, 2, 2)."""
-    k = np.einsum("...ij,...kl->...ikjl", a, b)
-    return k.reshape(k.shape[:-4] + (4, 4))
 
 
 def _kraus(side: str, times: np.ndarray, gamma0: float) -> np.ndarray:
@@ -90,7 +88,7 @@ def _kraus(side: str, times: np.ndarray, gamma0: float) -> np.ndarray:
         pairs = [(I2, k0), (I2, k1)]
     else:
         pairs = [(ka, kb) for ka in (k0, k1) for kb in (k0, k1)]
-    return np.stack([_kron_rows(a, b) for a, b in pairs])
+    return np.stack([kron(a, b) for a, b in pairs])
 
 
 def evolve_states(rho, side: str, times, gamma0: float = 1.0) -> np.ndarray:

@@ -16,33 +16,34 @@ discordant  populations (w, w, 1/2-w, 1/2-w), coherences r14 = r23 = s
 with 0 < w < 1/2 and 0 < s <= s_max(w) = sqrt(w/2 - w^2) for the
 two-parameter families.
 
-Under one-sided emission the X class is preserved and the coefficient
-functions evolve as
+Everything here works in tau = gamma0 t, the only way time enters the
+channel (p = 1 - e^{-tau}); the CLI forms tau.  Under one-sided emission
+the X class is preserved and the coefficient functions evolve as
 
-    a1(t) = 2 (r14 + r23) e^{-g t/2}
-    a2(t) = 2 (r23 - r14) e^{-g t/2}
-    side A:  a3(t) = 2 (r11 - r22) e^{-g t} - 2 (r11 + r33) + 1
-             x(t)  = 2 (r11 + r22) e^{-g t} - 1
-    side B:  a3(t) = 2 (r11 - r33) e^{-g t} - 2 (r11 + r22) + 1
-             x(t)  = 2 (r11 + r22) - 1            (constant)
+    a1(tau) = 2 (r14 + r23) e^{-tau/2}
+    a2(tau) = 2 (r23 - r14) e^{-tau/2}
+    side A:  a3(tau) = 2 (r11 - r22) e^{-tau} - 2 (r11 + r33) + 1
+             x(tau)  = 2 (r11 + r22) e^{-tau} - 1
+    side B:  a3(tau) = 2 (r11 - r33) e^{-tau} - 2 (r11 + r22) + 1
+             x(tau)  = 2 (r11 + r22) - 1            (constant)
 
-(g = gamma0).  They feed the X-state kernels of `measures`: D2 from
-`d2_x_kernel`, and D1, with B = 16 r14 r23 e^{-g t}, from `d1_x_kernel`.
+They feed the X-state kernels of `measures`: D2 from `d2_x_kernel`, and
+D1, with B = 16 r14 r23 e^{-tau}, from `d1_x_kernel`.
 
 "Increases" for the regime report is operationalized as: the curve
-exceeds its t = 0 value by more than 1e-9 somewhere on
-gamma0 t in (0, 10], scanned in steps of 1e-4.
+exceeds its tau = 0 value by more than 1e-9 somewhere on tau in (0, 10],
+scanned in steps of 1e-4.
 
 The critical couplings are the lower roots in (0, 1/4) of two threshold
 polynomials, above which the measure of (w, s_max(w)) starts to grow
-under side-A emission (onset at t -> 0+).  With u = e^{-g t} that state
+under side-A emission (onset at tau -> 0+).  With u = e^{-tau} that state
 has a2 = a3 = 0, x = 4 w u - 1 and a1^2 = B = (8 w - 16 w^2) u, so
 D2 grows once 32 w^2 - 16 w + 1 < 0, and D1^2 = 1/G(u) with
 
     G(u) = 1 / ((8 w - 16 w^2) u) + 1 / (1 - 4 w u)^2.
 
 For w < 1/4 both terms of G are convex in u, so D1 rises somewhere on
-t > 0 exactly when G'(1) > 0, that is when 64 w^3 - 16 w^2 - 12 w + 1 < 0.
+tau > 0 exactly when G'(1) > 0, that is when 64 w^3 - 16 w^2 - 12 w + 1 < 0.
 The scan flag of `regime` reads true only a little above that onset
 (from w = 0.0777831 on), because it asks for a rise of more than 1e-9.
 """
@@ -100,6 +101,11 @@ _SCAN_HORIZON = 10.0
 _GROWTH_MARGIN = 1e-9
 
 
+def _check_theta(th: float) -> None:
+    if not 0.0 <= th <= math.pi / 2.0 + 1e-12:  # so NaN fails too
+        raise ParamOutOfRange(f"theta must lie in [0, pi/2], got {th!r}")
+
+
 def s_max(w: float) -> float:
     """Largest admissible coherence for the two-parameter families."""
     if not 0.0 < w < 0.5:
@@ -120,8 +126,7 @@ class FamilyParams:
         if self.family == "theta":
             if self.theta is None or self.w is not None or self.s is not None:
                 raise ParamOutOfRange("theta family takes exactly the theta parameter")
-            if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
-                raise ParamOutOfRange(f"theta must lie in [0, pi/2], got {self.theta!r}")
+            _check_theta(self.theta)
         elif self.family in ("classical", "discordant"):
             if self.w is None or self.s is None or self.theta is not None:
                 raise ParamOutOfRange(f"{self.family} family takes exactly w and s")
@@ -138,7 +143,7 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A sampled curve: times holds gamma0*t, values the measure at each point."""
+    """A sampled curve: times holds gamma0 t, values the measure at each point."""
 
     times: np.ndarray
     values: np.ndarray
@@ -148,8 +153,8 @@ class TimeSeries:
 class RegimeReport:
     """Scan-confirmed growth flags for a two-parameter family member.
 
-    t_zero is the interior zero of the side-A trace-norm curve, present
-    only for the discordant family with w > 1/4 (units 1/gamma0).
+    t_zero = ln(4w), in units of gamma0 t, is the interior zero of the side-A
+    trace-norm curve, present only for the discordant family with w > 1/4.
     """
 
     w: float
@@ -161,7 +166,8 @@ class RegimeReport:
 
 
 def _theta_elements(th: float) -> tuple[float, float, float, float, float, float]:
-    """(r11, r22, r33, r44, r14, r23) of the theta family member at th."""
+    """(r11, r22, r33, r44, r14, r23) of the theta family member at th in [0, pi/2]."""
+    _check_theta(th)
     return (math.cos(th) ** 2 / 2.0, 0.0, 0.5,
             math.sin(th) ** 2 / 2.0, math.sin(2.0 * th) / 4.0, 0.0)
 
@@ -177,15 +183,12 @@ def _x_elements(p: FamilyParams) -> tuple[float, float, float, float, float, flo
 
 def make_state(p: FamilyParams) -> np.ndarray:
     """Materialize the initial family member as a density matrix."""
-    r11, r22, r33, r44, r14, r23 = _x_elements(p)
-    return states.from_x_state(states.XState(r11, r22, r33, r44, r14, r23))
+    return states.from_x_fields(_x_elements(p))
 
 
 def theta_states(thetas) -> np.ndarray:
     """The theta family members at every theta in thetas, one stack (n, 4, 4)."""
     th = np.asarray(thetas, dtype=float).reshape(-1)
-    if np.any(th < 0.0) or np.any(th > math.pi / 2.0 + 1e-12):
-        raise ParamOutOfRange(f"theta must lie in [0, pi/2], got {th.min()!r}..{th.max()!r}")
     return states.from_x_fields(np.reshape([_theta_elements(t) for t in th.tolist()], (-1, 6)))
 
 
@@ -214,47 +217,40 @@ def _d2_values(el, side: str, gt: np.ndarray) -> np.ndarray:
     return measures.d2_x_kernel(*_coefficients(el, side, gt)[:4])
 
 
-def _check_gamma0(gamma0: float) -> None:
-    if not 0.0 < gamma0 < np.inf:
-        raise ValueError(f"gamma0 must be positive and finite, got {gamma0!r}")
-
-
-def _series(p, times, gamma0, side, values_fn) -> TimeSeries:
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
+def _series(p, gt, side, values_fn) -> TimeSeries:
+    gt = np.array(gt, dtype=float)  # a copy: times must not alias the caller's array
+    if gt.ndim != 1 or gt.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if not np.all(t >= 0.0):
+    if not np.all(gt >= 0.0):
         raise ValueError("times must be non-negative and not NaN")
-    _check_gamma0(gamma0)
-    gt = gamma0 * t
     return TimeSeries(times=gt, values=values_fn(_x_elements(p), side, gt))
 
 
-def d1_timeseries_A(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
-    """Trace-norm discord along side-A emission, evaluated in closed form."""
-    return _series(p, times, gamma0, "A", _d1_values)
+def d1_timeseries_A(p: FamilyParams, gt) -> TimeSeries:
+    """Trace-norm discord along side-A emission at each gamma0 t in gt, in closed form."""
+    return _series(p, gt, "A", _d1_values)
 
 
-def d2_timeseries_A(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
-    """Hilbert-Schmidt discord along side-A emission."""
-    return _series(p, times, gamma0, "A", _d2_values)
+def d2_timeseries_A(p: FamilyParams, gt) -> TimeSeries:
+    """Hilbert-Schmidt discord along side-A emission at each gamma0 t in gt."""
+    return _series(p, gt, "A", _d2_values)
 
 
-def d1_timeseries_B(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
-    """Trace-norm discord while the unmeasured side B decays."""
-    return _series(p, times, gamma0, "B", _d1_values)
+def d1_timeseries_B(p: FamilyParams, gt) -> TimeSeries:
+    """Trace-norm discord at each gamma0 t in gt while the unmeasured side B decays."""
+    return _series(p, gt, "B", _d1_values)
 
 
-def d2_timeseries_B(p: FamilyParams, times, gamma0: float = 1.0) -> TimeSeries:
-    """Hilbert-Schmidt discord while the unmeasured side B decays."""
-    return _series(p, times, gamma0, "B", _d2_values)
+def d2_timeseries_B(p: FamilyParams, gt) -> TimeSeries:
+    """Hilbert-Schmidt discord at each gamma0 t in gt while the unmeasured side B decays."""
+    return _series(p, gt, "B", _d2_values)
 
 
 def _grows(values: np.ndarray) -> bool:
     return bool(np.any(values[1:] > values[0] + _GROWTH_MARGIN))
 
 
-def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
+def regime(p: FamilyParams) -> RegimeReport:
     """Growth flags for a classical or discordant family member.
 
     Every flag is read off a dense scan of the closed-form curve, so it
@@ -263,7 +259,6 @@ def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
     """
     if p.family not in ("classical", "discordant"):
         raise ParamOutOfRange("regime() applies to the classical and discordant families")
-    _check_gamma0(gamma0)
     el = _x_elements(p)
     gt = np.arange(0.0, _SCAN_HORIZON + _SCAN_STEP, _SCAN_STEP)
     side_a = _coefficients(el, "A", gt)
@@ -273,11 +268,7 @@ def regime(p: FamilyParams, gamma0: float = 1.0) -> RegimeReport:
         d2_increases_under_A=_grows(measures.d2_x_kernel(*side_a[:4])),
         d1_increases_under_A=_grows(measures.d1_x_kernel(*side_a)),
         d2_increases_under_B=_grows(_d2_values(el, "B", gt)),
-        t_zero=(
-            math.log(4.0 * p.w) / gamma0
-            if p.family == "discordant" and p.w > 0.25
-            else None
-        ),
+        t_zero=math.log(4.0 * p.w) if p.family == "discordant" and p.w > 0.25 else None,
     )
 
 

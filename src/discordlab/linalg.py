@@ -12,8 +12,8 @@ and 4x4; anything else is rejected.
 Hermitian eigenvalues come from LAPACK through `np.linalg.eigvalsh`,
 after a Hermiticity check and one symmetrization of the input; the same
 solver serves the brute-force oracles in `measures`.  It and
-`partial_transpose` also take a stack (..., k, k) of matrices, which
-the batched measures in `measures.measure_batch` pass in one call.
+`partial_transpose` also take a stack (..., k, k) of matrices, and
+`kron` stacks (..., 2, 2) of factors, so a batched caller makes one call.
 """
 
 from __future__ import annotations
@@ -94,10 +94,12 @@ def trace_norm(m) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators, A-side as the left factor."""
-    a = _as_square(a, sizes=(2,))
-    b = _as_square(b, sizes=(2,))
-    return np.kron(a, b)
+    """Kronecker product of 2x2 operators, A-side as the left factor; either
+    may be a stack (..., 2, 2), and two stacks pair up by broadcasting."""
+    a = _as_square(a, sizes=(2,), stack=True)
+    b = _as_square(b, sizes=(2,), stack=True)
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]  # (..., i, k, j, l)
+    return k.reshape(k.shape[:-4] + (4, 4))
 
 
 def partial_transpose(m, subsystem: str) -> np.ndarray:

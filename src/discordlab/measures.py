@@ -249,9 +249,7 @@ def _measured_batch(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
     nsig = np.einsum("ka,aij->kij", axes, _PAULI_STACK)
     pp = 0.5 * (I2[None, :, :] + nsig)
     pm = 0.5 * (I2[None, :, :] - nsig)
-    eye = np.eye(2)
-    pp4 = np.einsum("kij,ab->kiajb", pp, eye).reshape(-1, 4, 4)
-    pm4 = np.einsum("kij,ab->kiajb", pm, eye).reshape(-1, 4, 4)
+    pp4, pm4 = linalg.kron(pp, I2), linalg.kron(pm, I2)
     return pp4 @ rho @ pp4 + pm4 @ rho @ pm4
 
 

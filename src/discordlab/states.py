@@ -67,12 +67,11 @@ class StateFileError(ValueError):
     """State file could not be parsed (format error, not a physics error)."""
 
 
-# 4x4 operator basis used by bloch()/from_bloch(), built once; _BASIS
-# stacks it as sigma_k x I, I x sigma_k, then sigma_j x sigma_k row by row
-_SIG_A = tuple(kron(s, I2) for s in PAULIS)
-_SIG_B = tuple(kron(I2, s) for s in PAULIS)
-_SIG_AB = tuple(tuple(kron(sj, sk) for sk in PAULIS) for sj in PAULIS)
-_BASIS = np.stack(_SIG_A + _SIG_B + sum(_SIG_AB, ()))  # (15, 4, 4)
+# 4x4 operator basis used by bloch()/from_bloch(), built once: it stacks
+# sigma_k x I, I x sigma_k, then sigma_j x sigma_k row by row
+_PAULI_STACK = np.stack(PAULIS)  # (3, 2, 2)
+_BASIS = np.concatenate([kron(_PAULI_STACK, I2), kron(I2, _PAULI_STACK),
+                         kron(_PAULI_STACK[:, None], _PAULI_STACK).reshape(9, 4, 4)])
 
 # the entries an X state may carry: the diagonal and the anti-diagonal
 _X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
@@ -234,17 +233,10 @@ def bloch(rho) -> BlochDecomposition:
 
 
 def from_bloch(x_vec, y_vec, corr) -> np.ndarray:
-    """Rebuild the 4x4 matrix from Pauli components (inverse of bloch)."""
-    x = np.asarray(x_vec, dtype=float)
-    y = np.asarray(y_vec, dtype=float)
-    t = np.asarray(corr, dtype=float)
-    m = I4.copy()
-    for k in range(3):
-        m += x[k] * _SIG_A[k] + y[k] * _SIG_B[k]
-    for j in range(3):
-        for k in range(3):
-            m += t[j, k] * _SIG_AB[j][k]
-    return m / 4.0
+    """Rebuild the 4x4 matrix (I + c . _BASIS) / 4 from the Pauli components
+    c = (x_vec, y_vec, corr row by row): the inverse of bloch."""
+    c = np.concatenate([np.reshape(x_vec, 3), np.reshape(y_vec, 3), np.reshape(corr, 9)]).astype(float)
+    return (I4 + np.tensordot(c, _BASIS, axes=1)) / 4.0
 
 
 def sample_random_state(seed: int, family: str = "full-rank") -> np.ndarray:

@@ -440,6 +440,20 @@ def test_sweep_given_s_is_fixed(capsys):
     )
 
 
+def test_gamma0_only_rescales_time(tmp_path, capsys):
+    # the families work in gamma0 t, which only the CLI forms; scaling by 2 is exact
+    for n in range(2, 7):
+        base, fast = tmp_path / f"base{n}.csv", tmp_path / f"fast{n}.csv"
+        assert run_cli(capsys, "figure", str(n), "--tmax", "5", "--out", str(base))[0] == 0
+        assert run_cli(capsys, "figure", str(n), "--gamma0", "2", "--tmax", "2.5",
+                       "--out", str(fast))[0] == 0
+        assert fast.read_bytes() == base.read_bytes(), n
+    base, _ = sweep_rows(capsys)
+    fast, _ = sweep_rows(capsys, "--gamma0", "2")
+    assert [r[:5] for r in fast] == [r[:5] for r in base]
+    np.testing.assert_array_equal(column(fast, 5), column(base, 5) / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -528,6 +542,9 @@ def test_bad_numeric_flags(capsys):
     code, _, err = run_cli(capsys, "evolve", "--family", "classical",
                            "--w", "0.25", "--s", "0.25", "--gamma0", "-1")
     assert code == 4 and "error:" in err
+    # sweep divides regime's t_zero by gamma0
+    code, out, err = run_cli(capsys, "sweep", "--wcount", "2", "--gamma0", "0")
+    assert (code, out) == (4, "") and "gamma0 must be positive and finite" in err
 
 
 def test_non_finite_gamma0_and_tmax_exit_4(tmp_path, capsys):

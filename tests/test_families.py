@@ -66,6 +66,7 @@ def test_family_params_validation():
     cases = [
         dict(family="theta", theta=-0.1),
         dict(family="theta", theta=2.0),
+        dict(family="theta", theta=float("nan")),
         dict(family="theta", theta=0.3, w=0.2),
         dict(family="theta"),
         dict(family="classical", w=0.2),
@@ -86,7 +87,7 @@ def test_theta_states_match_make_state():
     assert stack.shape == (101, 4, 4)
     for th, rho in zip(thetas.tolist(), stack):
         assert np.array_equal(rho, make_state(FamilyParams("theta", theta=th)))
-    for bad in ([-0.1, 0.3], [2.0]):
+    for bad in ([-0.1, 0.3], [2.0], [np.nan]):
         with pytest.raises(ParamOutOfRange):
             families.theta_states(bad)
 
@@ -133,7 +134,7 @@ def test_d1_series_classical_quarter_log2():
 def test_d1_series_classical_quarter_closed_form():
     gt = np.linspace(0.0, 6.0, 61)
     for s in (0.05, 0.18, 0.25):
-        vals = d1_timeseries_A(classical(0.25, s), gt, gamma0=1.0).values
+        vals = d1_timeseries_A(classical(0.25, s), gt).values
         u = np.exp(-gt)
         expected = 4.0 * s * (1.0 - u) / np.sqrt(16.0 * s * s + 2.0 * np.cosh(gt) - 2.0)
         np.testing.assert_allclose(vals, expected, atol=1e-12)
@@ -191,12 +192,11 @@ def test_d2_series_asymptotic_consistency():
 
 
 def test_timeseries_metadata_and_gamma0():
-    p = classical(0.25, 0.25)
-    ts = d1_timeseries_A(p, [0.5, 1.0], gamma0=2.0)
-    np.testing.assert_allclose(ts.times, [1.0, 2.0], atol=1e-15)
+    # the series take gamma0 t and echo it as their times
+    gt = [0.5, 1.0, 2.0]
+    ts = d1_timeseries_A(classical(0.25, 0.25), gt)
+    np.testing.assert_array_equal(ts.times, gt)
     assert [f.name for f in dataclasses.fields(ts)] == ["times", "values"]
-    same_gt = d1_timeseries_A(p, [1.0, 2.0], gamma0=1.0).values
-    np.testing.assert_allclose(ts.values, same_gt, atol=1e-15)
 
 
 def test_timeseries_input_validation():
@@ -207,21 +207,14 @@ def test_timeseries_input_validation():
         d1_timeseries_A(p, [[0.0, 1.0]])
     with pytest.raises(ValueError):
         d1_timeseries_A(p, [-0.5, 1.0])
-    with pytest.raises(ValueError):
-        d1_timeseries_A(p, [0.0, 1.0], gamma0=0.0)
 
 
 def test_nan_gamma0_and_times_rejected():
-    # NaN fails every comparison, so a check written as "reject if x <= 0" passes it
+    # NaN fails every comparison, so a check written as "reject if x <= 0" passes it;
+    # the rate is checked where gamma0 t is formed (dynamics, cli), the time here
     p = classical(0.25, 0.25)
-    nan = float("nan")
-    for gamma0 in (nan, math.inf):
-        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
-            d1_timeseries_A(p, [1.0], gamma0)
-        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
-            regime(discordant(0.4, 0.2), gamma0)
     with pytest.raises(ValueError, match="not NaN"):
-        d1_timeseries_A(p, [0.5, nan])
+        d1_timeseries_A(p, [0.5, float("nan")])
     # t = inf stays valid: the classical d1 curve decays to 0
     assert d1_timeseries_A(p, [math.inf]).values[0] == 0.0
 
@@ -321,21 +314,12 @@ def test_regime_rejects_theta_family():
         regime(FamilyParams("theta", theta=0.3))
 
 
-def test_regime_rejects_nonpositive_gamma0():
-    # gamma0 = 0 used to divide by zero in t_zero, and -1 gave a negative t_zero
-    for gamma0 in (0.0, -1.0):
-        with pytest.raises(ValueError, match="gamma0 must be positive"):
-            regime(discordant(0.4, 0.2), gamma0)
-
-
 def test_t_zero_presence_and_scaling():
     for w in (0.26, 0.3, 0.45):
         r = regime(discordant(w, 0.5 * s_max(w)))
         assert abs(r.t_zero - math.log(4.0 * w)) < 1e-15
     for w in (0.1, 0.25):
         assert regime(discordant(w, 0.5 * s_max(w))).t_zero is None
-    r = regime(discordant(0.4, 0.2), gamma0=2.0)
-    assert abs(r.t_zero - math.log(1.6) / 2.0) < 1e-15
 
 
 def test_regime_flags_survive_coarser_rescan():

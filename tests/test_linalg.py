@@ -115,11 +115,19 @@ def test_kron_bilinear_and_trace():
     np.testing.assert_allclose(kron(a + 2 * c, b), kron(a, b) + 2 * kron(c, b),
                                atol=1e-14)
     assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+    # stacks (n, 2, 2) on either side, or both paired row by row
+    sa, sb = (np.stack([random_hermitian(rng, 2) for _ in range(5)]) for _ in range(2))
+    for left, right, pairs in ((sa, b, [(m, b) for m in sa]),
+                               (a, sb, [(a, m) for m in sb]),
+                               (sa, sb, list(zip(sa, sb)))):
+        np.testing.assert_array_equal(kron(left, right), [np.kron(x, y) for x, y in pairs])
 
 
 def test_kron_rejects_larger_blocks():
     with pytest.raises(SizeMismatch):
         kron(np.eye(3), np.eye(3))
+    with pytest.raises(SizeMismatch):
+        kron(np.stack([I2, I2]), np.eye(4))
 
 
 def test_kron_correlation_entry_on_x_state():
