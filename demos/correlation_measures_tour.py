@@ -14,14 +14,14 @@ Run from the repository root:
 import numpy as np
 
 from discordlab import FamilyParams, make_state
+from discordlab.families import theta_states
 from discordlab.measures import d1_oracle, d2_oracle, measure_batch
 
 
 def family_measures(thetas):
     """d1, sqrt(d2), negativity and the d1 route along the family, in one
     call of the measure pipeline."""
-    d1, d2, neg, route = measure_batch([make_state(FamilyParams("theta", theta=t))
-                                        for t in thetas])
+    d1, d2, neg, route = measure_batch(theta_states(thetas))
     return d1, np.sqrt(d2), neg, route
 
 

@@ -188,12 +188,11 @@ def _figure_rows(ns):
         return _columns(theta, neg, np.sqrt(d2), d1)
     family, w, s = FIGURE_STATES[ns.n]
     p = families.FamilyParams(family, w=w, s=s)
-    t = np.linspace(0.0, ns.t_max, ns.n_points)
+    gt = ns.gamma0 * np.linspace(0.0, ns.t_max, ns.n_points)  # the families work in gamma0 t
     if ns.n == 5:
-        # the D1 curve of this state touches zero at t0 = ln(4w)/gamma0, which a
+        # the D1 curve of this state touches zero at gamma0 t = ln(4w), which a
         # uniform grid never samples closely enough to show; add the exact point
-        t = np.sort(np.append(t, np.log(4.0 * w) / ns.gamma0))
-    gt = ns.gamma0 * t  # the families work in gamma0 t
+        gt = np.sort(np.append(gt, np.log(4.0 * w)))
     d2 = families.d2_timeseries_A(p, gt)
     if ns.n == 6:
         d2_b = families.d2_timeseries_B(p, gt)

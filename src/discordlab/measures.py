@@ -2,9 +2,9 @@
 
 `measure_batch` is the one measure pipeline: for a stack of states it
 makes one Bloch decomposition, one batched eigensolve for D2 and one for
-the negativity, evaluates D1 through the X-state kernel on the states
-that pass `states.to_x_state`'s test and through `d1_exact` on the
-rest.  `d2_closed`, `negativity` and `d1_exact` are its one-state cases.
+the negativity, and takes D1 from the X-state kernel on the states that
+pass `states.to_x_state`'s test and from one `d1_exact` call on the rest.
+`d2_closed`, `negativity` and `d1_exact` are its one-state cases.
 
 Both geometric discords minimize over projective measurements on
 subsystem A only.  The Hilbert-Schmidt version
@@ -63,10 +63,11 @@ such value is still reached on the axes named: with x along the top
 eigenvector, by the projection off the middle one; with x along the
 middle eigenvector, a repeated top eigenvalue or x = 0, by the kinks,
 which then reach lambda_2(Q); a repeated bottom eigenvalue adds a
-minimum only when x is zero or along the top eigenvector.  So F
-is smallest on one of at most five closed-form axes, the kinks and the
+minimum only when x is zero or along the top eigenvector.  So F is
+smallest on one of five closed-form axes, the two kinks and the three
 projections of x off the eigenvectors of Q, and d1_exact evaluates F on
-each.  Every value it compares is a true value of F, so the result never
+all five for a whole stack at once (+inf on a projection that vanishes).
+Every value it compares is a true value of F, so the result never
 undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
 
 Both oracles scan a Fibonacci lattice of 2000 measurement axes and refine
@@ -98,6 +99,7 @@ __all__ = [
 
 _PAULI_STACK = np.stack(PAULIS)  # (3, 2, 2)
 _TINY = np.finfo(float).tiny
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
 
 
 def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -123,8 +125,8 @@ def measure_batch(rhos):
     One 4x4 state counts as n = 1.  The route reads "closed-x" where the
     state passes `states.to_x_state`'s test (same tolerance, coherences
     clamped at 0) and D1 comes from `d1_x_kernel`, and "exact" where D1
-    comes from `d1_exact` on the Bloch form already computed.  Returns
-    float arrays d1, d2, neg and a str array route, each of length n.
+    comes from one `d1_exact` call over all those rows, on the Bloch form
+    already computed.  Returns arrays d1, d2, neg and route, of length n.
     """
     a = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
     bd = states.bloch(a)
@@ -133,8 +135,8 @@ def measure_batch(rhos):
     d1 = np.empty(len(a))
     r11, r22, r33, _, r14, r23 = f[is_x].T
     d1[is_x] = d1_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23))
-    for i in np.flatnonzero(~is_x):
-        d1[i] = _d1_exact(x[i], t[i])
+    if not is_x.all():
+        d1[~is_x] = _d1_exact(x[~is_x], t[~is_x])
     return d1, _d2(x, t), _negativity(a), np.where(is_x, "closed-x", "exact")
 
 
@@ -317,48 +319,47 @@ def d1_oracle(rho):
 
 
 def _objective_sq(x: np.ndarray, t: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """||rho - Pi_n(rho)||_1^2 for the Bloch vector x, correlation matrix t
-    and each nonzero row n of axes.
-
-    Built from x.e and T^T e over a frame (e1, e2) normal to n, with no
-    tr K - n.K.n difference, so a value near zero keeps its digits.
-    """
-    n = axes / np.linalg.norm(axes, axis=1, keepdims=True)
-    h = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-    e1 = h - np.sum(h * n, axis=1, keepdims=True) * n
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(n, e1)
-    x1, x2, t1, t2 = e1 @ x, e2 @ x, e1 @ t, e2 @ t
-    q11, q22, q12 = np.sum(t1 * t1, axis=1), np.sum(t2 * t2, axis=1), np.sum(t1 * t2, axis=1)
+    """||rho - Pi_n(rho)||_1^2 for Bloch vectors x (..., 3), correlation
+    matrices t (..., 3, 3) and each row n of axes (..., k, 3), +inf on a zero
+    row; built from x.e and T^T e over a frame (e1, e2) normal to n, with no
+    tr K - n.K.n difference, so a value near zero keeps its digits."""
+    norm = np.sqrt(np.sum(axes * axes, axis=-1, keepdims=True))
+    n = axes / np.where(norm > 0.0, norm, 1.0)
+    h = np.where(np.abs(n[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e1 = h - np.sum(h * n, axis=-1, keepdims=True) * n
+    e1 /= np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
+    # n x e1, spelled out: np.cross would cost a third of a one-state call
+    e2 = n.take(_NEXT, -1) * e1.take(_PREV, -1) - n.take(_PREV, -1) * e1.take(_NEXT, -1)
+    xc = x[..., :, None]
+    x1, x2, t1, t2 = (e1 @ xc)[..., 0], (e2 @ xc)[..., 0], e1 @ t, e2 @ t
+    q11, q22, q12 = np.sum(t1 * t1, axis=-1), np.sum(t2 * t2, axis=-1), np.sum(t1 * t2, axis=-1)
     spread = np.hypot(x1 * x1 - x2 * x2 - q11 + q22, 2.0 * (x1 * x2 - q12))
-    return 0.5 * (x1 * x1 + x2 * x2 + q11 + q22 + spread)
+    return np.where(norm[..., 0] > 0.0, 0.5 * (x1 * x1 + x2 * x2 + q11 + q22 + spread), np.inf)
 
 
 def _kink_axes(s: np.ndarray) -> np.ndarray:
-    """Rows: the axes where the spread vanishes, the normals of the circular
-    sections of s (any axis, if s is a multiple of I)."""
+    """The two axes (..., 2, 3) where the spread vanishes, the normals of the
+    circular sections of each s (..., 3, 3); where s is a multiple of I,
+    every axis is one, and both rows are its top eigenvector."""
     sv, vec = np.linalg.eigh(s)
-    w1, w3 = np.sqrt(max(sv[2] - sv[1], 0.0)), np.sqrt(max(sv[1] - sv[0], 0.0))
-    if w1 + w3 == 0.0:
-        return vec[:, 2:].T
-    v1, v3 = w1 * vec[:, 2], w3 * vec[:, 0]
-    return np.stack([v1 + v3, v1 - v3]) / np.hypot(w1, w3)
+    w = np.sqrt(np.maximum(np.diff(sv, axis=-1), 0.0))
+    w3, w1 = w[..., :1], w[..., 1:]
+    w1 = w1 + (w1 + w3 == 0.0)  # 1 where s is isotropic: both rows are v1
+    v1, v3 = w1 * vec[..., 2], w3 * vec[..., 0]
+    return np.stack([v1 + v3, v1 - v3], axis=-2) / np.hypot(w1, w3)[..., None]
 
 
 def d1_exact(rho) -> float:
-    """Trace-norm discord of any two-qubit state (module docstring).
-
-    Evaluates the objective on the kinks and on the projections
-    x - (x.v) v of x off each eigenvector v of T T^T that do not vanish.
-    """
+    """Trace-norm discord of any two-qubit state (module docstring)."""
     bd = states.bloch(rho)
-    return _d1_exact(bd.x_vec, bd.corr)
+    return float(_d1_exact(bd.x_vec, bd.corr))
 
 
-def _d1_exact(x: np.ndarray, t: np.ndarray) -> float:
-    """d1_exact from the Bloch vector x and correlation matrix t of one state."""
-    q = t @ t.T
-    vecs = np.linalg.eigh(q)[1].T
-    axes = np.concatenate([_kink_axes(np.outer(x, x) - q), x - (vecs @ x)[:, None] * vecs])
-    axes = axes[np.sum(axes * axes, axis=1) > 0.0]
-    return float(np.sqrt(max(np.min(_objective_sq(x, t, axes)), 0.0)))
+def _d1_exact(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d1_exact from Bloch vectors x (..., 3) and correlation matrices t
+    (..., 3, 3): the objective's minimum over the kinks and x - (x.v) v."""
+    q = t @ np.swapaxes(t, -1, -2)
+    vecs = np.swapaxes(np.linalg.eigh(q)[1], -1, -2)
+    xr, xc = x[..., None, :], x[..., :, None]
+    axes = np.concatenate([_kink_axes(xc * xr - q), xr - (vecs @ xc) * vecs], axis=-2)
+    return np.sqrt(np.maximum(np.min(_objective_sq(x, t, axes), axis=-1), 0.0))

@@ -307,6 +307,17 @@ def test_figure_5_zero_crossing_row(tmp_path, capsys):
     assert np.max(d1[dip:]) > 1e-3
 
 
+def test_figure_5_zero_point_exact_for_every_rate(tmp_path, capsys):
+    # the crossing ln(4w) = ln 1.6 is appended in gamma0 t, not scaled back from t;
+    # 0.7 * (ln 1.6 / 0.7) misses it by 5.6e-17
+    out_file = tmp_path / "f5.csv"
+    for gamma0 in ("0.7", "2.5", "1"):
+        assert run_cli(capsys, "figure", "5", "--gamma0", gamma0, "--points", "11",
+                       "--out", str(out_file))[0] == 0
+        _, rows = rows_of(out_file.read_text())
+        assert format(math.log(1.6), ".17g") in [r[0] for r in rows], gamma0
+
+
 def test_figure_6_side_columns(tmp_path, capsys):
     out_file = tmp_path / "f6.csv"
     code, _, _ = run_cli(capsys, "figure", "6", "--points", "201",

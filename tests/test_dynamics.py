@@ -280,3 +280,22 @@ def test_b_side_d1_contractivity():
             values.append(measures.d1_x_with_method(to_x_state(ev))[0])
         diffs = np.diff(np.array(values))
         assert np.max(diffs) <= 1e-8
+
+
+def test_b_side_verdict_on_every_state():
+    # the paper's verdict beyond the X families: under emission of the
+    # unmeasured atom B the trace-norm discord never grows (it contracts under
+    # any channel on B), while the Hilbert-Schmidt one grows on some states
+    ts = np.linspace(0.0, 4.0, 81)
+    risers = {}
+    for family in ("full-rank", "bell-diagonal"):
+        for seed in range(300):
+            rho = sample_random_state(seed, family)
+            d1, d2, _, _ = measures.measure_batch(evolve_states(rho, "B", ts))
+            assert np.max(np.diff(d1)) <= 1e-12, (family, seed)
+            if np.max(d2) > d2[0] + 1e-9:
+                assert d1[-1] < d1[0], (family, seed)
+                risers[(family, seed)] = (np.max(d2) - d2[0], d1[0] - d1[-1])
+    assert sorted(risers) == [("full-rank", seed) for seed in (74, 85, 154, 260, 286)]
+    d2_rise, d1_fall = risers[("full-rank", 260)]
+    assert d2_rise > 7e-3 and d1_fall > 0.19

@@ -287,6 +287,64 @@ def test_measure_batch_matches_scalar_path():
         assert abs(d2_eig - measures.d2_x_kernel(*args[:4])) <= 1e-15
 
 
+def mixed_stack():
+    """X rows interleaved with full-rank rows, a phased X row, I/4, an
+    isotropic Bell-diagonal state off the X route, pure states and x = 0."""
+    rng = np.random.default_rng(5)
+    pure = []
+    for _ in range(2):
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        pure.append(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    odd = [
+        random_z_phases(sample_random_state(7, "x-shaped"), 7),
+        MAXMIX,
+        states.from_bloch(np.zeros(3), np.zeros(3), -0.2 * np.eye(3)),  # c1 = c2 = c3
+        *pure,
+        states.from_bloch(np.zeros(3), [0.1, 0.0, 0.1], [[0.2, 0.1, 0.0], [0.1, -0.2, 0.0],
+                                                          [0.0, 0.0, 0.1]]),  # x = 0
+    ]
+    batch = []
+    for k, rho in enumerate(odd):
+        batch += [sample_random_state(k, "x-shaped"), rho, sample_random_state(k, "full-rank")]
+    return np.array(batch)
+
+
+def test_measure_batch_rows_are_independent():
+    # the same bits for a row whether it is measured in the stack, in a
+    # permutation of it or alone, and d1 equal to its one-state route
+    batch = mixed_stack()
+    whole = measure_batch(batch)
+    perm = np.random.default_rng(16).permutation(len(batch))
+    shuffled = measure_batch(batch[perm])
+    assert set(whole[3]) == {"closed-x", "exact"}
+    for k, rho in enumerate(batch):
+        alone = measure_batch(rho)
+        at = int(np.flatnonzero(perm == k)[0])
+        for got, moved, one in zip(whole, shuffled, alone):
+            assert got[k] == moved[at] == one[0]
+        want = d1_closed_x(to_x_state(rho)) if whole[3][k] == "closed-x" else d1_exact(rho)
+        assert whole[0][k] == want
+
+
+def test_measure_batch_eigensolves_do_not_grow_with_the_stack(monkeypatch):
+    # d1 of every non-X row comes from one batched call, not one call per row
+    stacks = [np.array([sample_random_state(seed, "full-rank") for seed in range(n)])
+              for n in (1, 50)]
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for stack in stacks:
+        calls.clear()
+        assert list(measure_batch(stack)[3]) == ["exact"] * len(stack)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def gauged_x(rho):
     """XState of rho with corner phases removed by local rotations,
     which leave every measure here invariant."""
