@@ -30,9 +30,12 @@ the X class is preserved and the coefficient functions evolve as
 They feed the X-state kernels of `measures`: D2 from `d2_x_kernel`, and
 D1, with B = 16 r14 r23 e^{-tau}, from `d1_x_kernel`.
 
-"Increases" for the regime report is operationalized as: the curve
-exceeds its tau = 0 value by more than 1e-9 somewhere on tau in (0, 10],
-scanned in steps of 1e-4.
+"Increases" for the regime report is operationalized as: the curve,
+sampled at tau = k 1e-4 for k = 1 .. 100000, exceeds its tau = 0 value by
+more than 1e-9 at some sample.  Each curve is monotone in tau between its
+branch switches and turning points, which are roots of polynomials in
+u = e^{-tau} of degree <= 4, so `regime` evaluates only the samples next to
+those roots and at both ends, and returns the flags of the full scan.
 
 The critical couplings are the lower roots in (0, 1/4) of two threshold
 polynomials, above which the measure of (w, s_max(w)) starts to grow
@@ -44,7 +47,7 @@ D2 grows once 32 w^2 - 16 w + 1 < 0, and D1^2 = 1/G(u) with
 
 For w < 1/4 both terms of G are convex in u, so D1 rises somewhere on
 tau > 0 exactly when G'(1) > 0, that is when 64 w^3 - 16 w^2 - 12 w + 1 < 0.
-The scan flag of `regime` reads true only a little above that onset
+The flag of `regime` reads true only a little above that onset
 (from w = 0.0777831 on), because it asks for a rise of more than 1e-9.
 """
 
@@ -96,8 +99,12 @@ W_CRITICAL_D1 = float(_W_D1_TRIG - np.polyval(_THRESHOLD_D1, _W_D1_TRIG)
 
 _CRITICAL = {"d1": (W_CRITICAL_D1, _THRESHOLD_D1), "d2": (W_CRITICAL_D2, _THRESHOLD_D2)}
 
+# regime's grid: gamma0 t = k * _SCAN_STEP for k = 0 .. _SCAN_LAST, on [0, 10]
 _SCAN_STEP = 1e-4
-_SCAN_HORIZON = 10.0
+_SCAN_LAST = 100_000
+# grid cells read on either side of each candidate time; a double root near
+# gamma0 t = 10 comes out about 2 cells off
+_SNAP = np.arange(-5, 6)
 _GROWTH_MARGIN = 1e-9
 
 
@@ -151,7 +158,7 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Scan-confirmed growth flags for a two-parameter family member.
+    """Growth flags, on regime's 1e-4 grid, for a two-parameter family member.
 
     t_zero = ln(4w), in units of gamma0 t, is the interior zero of the side-A
     trace-norm curve, present only for the discordant family with w > 1/4.
@@ -250,17 +257,90 @@ def _grows(values: np.ndarray) -> bool:
     return bool(np.any(values[1:] > values[0] + _GROWTH_MARGIN))
 
 
+def _poly(*coeffs: float) -> np.ndarray:
+    """A polynomial in u, coefficients ascending, padded to degree 4."""
+    return np.array(coeffs + (0.0,) * (5 - len(coeffs)))
+
+
+def _der(p: np.ndarray) -> np.ndarray:
+    """Derivative of a polynomial in u, padded to degree 4."""
+    return np.append(p[1:] * np.arange(1.0, 5.0), 0.0)
+
+
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of two polynomials whose degrees sum to at most 4."""
+    return np.convolve(p, q)[:5]
+
+
+def _turning_polynomials(el, side: str) -> list[np.ndarray]:
+    """Polynomials in u = e^{-tau} whose roots hold every point where the
+    D2 or D1 curve of one side switches branch or turns.
+
+    With a1^2 = c1 u, a2^2 = c2 u, B = cB u and a3, x linear in u, D2 is half
+    the smallest pairwise sum of (a1^2, a2^2, a3^2 + x^2): it switches sums
+    where two of them meet and otherwise turns only at a vertex of
+    a1^2 + a3^2 + x^2 or a2^2 + a3^2 + x^2.  D1^2 = N/D on each of the four
+    branches of a = max(a3^2, a2^2 + x^2) and b = min(a3^2, a1^2), with
+    N = a1^2 (a - b) + b B and D = a - b + B: it switches where a or b does
+    and otherwise turns only where N'D - N D' = 0.
+    """
+    # the coefficients at u = 1 and at u = 0 (tau = inf) fix each line in u
+    a1, a2, a3, x, b = _coefficients(el, side, np.array([0.0, np.inf]))
+    a1sq, a2sq, bb = _poly(0.0, a1[0] ** 2), _poly(0.0, a2[0] ** 2), _poly(0.0, b[0])
+    a3sq, xsq = (_mul(v, v) for v in (_poly(a3[1], a3[0] - a3[1]), _poly(x[1], x[0] - x[1])))
+    k33 = a3sq + xsq  # the third diagonal entry of K
+    polys = [a1sq - a2sq, a1sq - k33, a2sq - k33, _der(a1sq + k33), _der(a2sq + k33),
+             a3sq - a2sq - xsq, a3sq - a1sq]
+    for big in (a3sq, a2sq + xsq):
+        for small in (a3sq, a1sq):
+            n, d = _mul(a1sq, big - small) + _mul(small, bb), big - small + bb
+            polys.append(_mul(_der(n), d) - _mul(n, _der(d)))
+    return polys
+
+
+def _candidate_indices(polys: list[np.ndarray]) -> np.ndarray:
+    """Sorted indices k of the grid gamma0 t = k * _SCAN_STEP: both ends,
+    and _SNAP around every root u of polys that lies on the grid's span.
+
+    The roots come from one batched eigensolve of 4x4 companion matrices; a
+    polynomial of lower degree is multiplied by a power of u first, which
+    only adds roots at u = 0.  A complex root gives its real part, so a
+    double root split by rounding is not lost; extra candidates cost nothing
+    but time.
+    """
+    p = np.array(polys)
+    mag = np.abs(p)
+    # a leading coefficient below 1e-300 of the largest counts as zero, which
+    # keeps the companion matrix finite; a row of zeros has no roots
+    lead = mag > 1e-300 * mag.max(axis=1, keepdims=True)
+    live = lead.any(axis=1)
+    p, shift = p[live], np.argmax(lead[live, ::-1], axis=1)
+    p = np.take_along_axis(np.pad(p, ((0, 0), (4, 0))), np.arange(4, 9) - shift[:, None], axis=1)
+    companion = np.zeros((len(p), 4, 4))
+    companion[:, 0] = -p[:, 3::-1] / p[:, 4:]
+    companion[:, 1:, :3] = np.eye(3)
+    u = np.linalg.eigvals(companion).real.ravel()
+    k = np.rint(-np.log(u[u > 0.0]) / _SCAN_STEP)
+    k = k[(k >= 0.0) & (k <= _SCAN_LAST)].astype(np.int64)
+    near = np.clip(k[:, None] + _SNAP, 0, _SCAN_LAST).ravel()
+    return np.unique(np.concatenate([near, [0, _SCAN_LAST]]))
+
+
 def regime(p: FamilyParams) -> RegimeReport:
     """Growth flags for a classical or discordant family member.
 
-    Every flag is read off a dense scan of the closed-form curve, so it
-    is true exactly when the curve exceeds its initial value on
-    gamma0 t in (0, 10].
+    Each flag is true exactly when the closed-form curve, sampled at
+    gamma0 t = k * 1e-4 for k = 0 .. 100000, exceeds its value at t = 0 by
+    more than 1e-9 at some k > 0.  Between consecutive branch switches and
+    turning points every curve is monotone in t, so its largest sample lies
+    next to one of them or at an end.  Only those samples are evaluated, with
+    the arithmetic of the full scan, so every flag equals the scan's.
     """
     if p.family not in ("classical", "discordant"):
         raise ParamOutOfRange("regime() applies to the classical and discordant families")
     el = _x_elements(p)
-    gt = np.arange(0.0, _SCAN_HORIZON + _SCAN_STEP, _SCAN_STEP)
+    k = _candidate_indices(_turning_polynomials(el, "A") + _turning_polynomials(el, "B"))
+    gt = k * _SCAN_STEP  # bit for bit the scan's np.arange(0.0, 10.0 + 1e-4, 1e-4)[k]
     side_a = _coefficients(el, "A", gt)
     return RegimeReport(
         w=p.w,

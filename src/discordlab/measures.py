@@ -107,7 +107,8 @@ def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     matrices t (..., 3, 3), with one eigensolve over all K = x x^T + T T^T."""
     xr, xc = x[..., None, :], x[..., :, None]
     k = xc * xr + t @ np.swapaxes(t, -1, -2)
-    kmax = linalg.hermitian_eigenvalues(k)[..., -1]
+    # real symmetric by construction: no Hermiticity check or complex cast
+    kmax = np.linalg.eigvalsh(k)[..., -1]
     # x.x as a matmul, which rounds like the dot product of one vector
     xx = (xr @ xc)[..., 0, 0]
     return np.maximum(0.0, 0.5 * (xx + np.sum(t * t, axis=(-2, -1)) - kmax))

@@ -8,6 +8,7 @@ closed forms actually produce.  See the reasons on the marks.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -438,6 +439,74 @@ def test_regime_d1_flag_brackets_w_critical_d1():
     for dw, grows in ((-1e-4, False), (1e-4, True)):
         w = W_CRITICAL_D1 + dw
         assert regime(discordant(w, s_max(w))).d1_increases_under_A is grows
+
+
+def scan_flags(p):
+    """The flags of a full scan: every grid point gamma0 t = k 1e-4 on
+    [0, 10] compared with the first one plus 1e-9, as regime's contract reads."""
+    gt = np.arange(0.0, 10.0 + 1e-4, 1e-4)
+    el = families._x_elements(p)
+    side_a = families._coefficients(el, "A", gt)
+    curves = (measures.d2_x_kernel(*side_a[:4]), measures.d1_x_kernel(*side_a),
+              families._d2_values(el, "B", gt))
+    return tuple(bool(np.any(v[1:] > v[0] + 1e-9)) for v in curves)
+
+
+def test_regime_flags_equal_the_fine_scan():
+    rng = np.random.default_rng(1717)
+    cases = []
+    for fam in ("classical", "discordant"):
+        for u, v in rng.uniform(size=(30, 2)):
+            w = 0.01 + 0.48 * float(u)
+            cases.append(FamilyParams(fam, w=w, s=(0.05 + 0.95 * float(v)) * s_max(w)))
+    near = [W_CRITICAL_D1 + dw for dw in np.linspace(-1e-5, 1e-5, 21)]
+    near += [w0 + dw for w0 in (W_CRITICAL_D2, (2.0 + math.sqrt(2.0)) / 8.0) for dw in (-1e-6, 1e-6)]
+    cases += [discordant(float(w), s_max(float(w))) for w in near]
+    seen = set()
+    for p in cases:
+        r = regime(p)
+        flags = (r.d2_increases_under_A, r.d1_increases_under_A, r.d2_increases_under_B)
+        assert flags == scan_flags(p), p
+        seen.update(enumerate(flags))
+    assert len(seen) == 6  # every flag reads both true and false
+
+
+def test_regime_flags_follow_the_closed_form_boundaries():
+    """Discordant members with w < 1/4: D2 grows on either side iff
+    16 s^2 > (1 - 4w)^2, and D1 under side-A emission iff
+    128 w s^2 > (1 - 4w)^3.  Points within a relative 1e-2 of a boundary
+    are left out, because there the rise can stay below the 1e-9 margin;
+    the band widens as w nears 1/4 (at w = 0.23 it reaches 6e-4 for D2 and
+    3e-3 for D1), so w stays below 0.23."""
+    rng = np.random.default_rng(1718)
+    checked = [0, 0]
+    for u, v in rng.uniform(size=(200, 2)):
+        w = 0.01 + 0.22 * float(u)
+        s = float(v) * s_max(w)
+        if s == 0.0:
+            continue
+        r = regime(discordant(w, s))
+        d2_lhs, d2_rhs = 16.0 * s * s, (1.0 - 4.0 * w) ** 2
+        if abs(d2_lhs - d2_rhs) > 1e-2 * d2_rhs:
+            assert r.d2_increases_under_A is r.d2_increases_under_B is (d2_lhs > d2_rhs), (w, s)
+            checked[0] += 1
+        d1_lhs, d1_rhs = 128.0 * w * s * s, (1.0 - 4.0 * w) ** 3
+        if abs(d1_lhs - d1_rhs) > 1e-2 * d1_rhs:
+            assert r.d1_increases_under_A is (d1_lhs > d1_rhs), (w, s)
+            checked[1] += 1
+    assert min(checked) >= 190
+
+
+def test_regime_allocates_no_scan():
+    p = discordant(0.35, s_max(0.35))
+    regime(p)
+    tracemalloc.start()
+    try:
+        regime(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_find_critical_w_validation():
