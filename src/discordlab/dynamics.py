@@ -14,9 +14,10 @@ tensored with the identity on the untouched side.  `evolve_states`
 applies the Kraus form (exact for any t) at a whole vector of times in
 one step, building the Kraus operators per time; `apply_channel` is its
 one-time case.  `lindblad_rhs` is the generator as one 16x16 matrix on
-vec(rho).  `integrate` steps the master equation with fixed-step RK4
-and exists as an independent cross-check of the channel, not as the
-production path.
+vec(rho), the rate times a unit-rate generator built once per side at
+import.  `integrate` is fixed-step RK4 on the master equation, taken as
+the n-th power of the one-step propagator, and exists as an independent
+cross-check of the channel, not as the production path.
 """
 
 from __future__ import annotations
@@ -104,20 +105,23 @@ def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:
     return evolve_states(rho, ch.side, [ch.t], ch.gamma0)[0]
 
 
-def _liouvillian(side: str, gamma0: float) -> np.ndarray:
-    """The generator as a (16, 16) matrix on row-major vec, vec(A X B) = (A kron B^T) vec(X)."""
+def _unit_dissipator(sm: np.ndarray) -> np.ndarray:
+    """One decaying atom at gamma0 = 1 as a (16, 16) matrix on row-major vec,
+    vec(A X B) = (A kron B^T) vec(X)."""
     eye = np.eye(4)
-    out = np.zeros((16, 16), dtype=complex)
-    ops = []
-    if side in ("A", "both"):
-        ops.append(kron(SIGMA_MINUS, I2))
-    if side in ("B", "both"):
-        ops.append(kron(I2, SIGMA_MINUS))
-    for sm in ops:
-        n_op = sm.conj().T @ sm
-        out += 0.5 * gamma0 * (2.0 * np.kron(sm, sm.conj())
-                               - np.kron(n_op, eye) - np.kron(eye, n_op.T))
-    return out
+    n_op = sm.conj().T @ sm
+    return 0.5 * (2.0 * np.kron(sm, sm.conj()) - np.kron(n_op, eye) - np.kron(eye, n_op.T))
+
+
+# L is linear in gamma0, so each side's generator is built once, at unit rate
+_L_A = _unit_dissipator(kron(SIGMA_MINUS, I2))
+_L_B = _unit_dissipator(kron(I2, SIGMA_MINUS))
+_GENERATORS = {"A": _L_A, "B": _L_B, "both": _L_A + _L_B}
+
+
+def _liouvillian(side: str, gamma0: float) -> np.ndarray:
+    """The generator of `side` at rate gamma0 as a (16, 16) matrix on row-major vec."""
+    return gamma0 * _GENERATORS[side]
 
 
 def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:
@@ -130,11 +134,13 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     """Fixed-step RK4 integration of the master equation up to t_final.
 
     For the linear, time-independent generator L one RK4 step of length
-    h is P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, built once per
-    step length: stepwise RK4 in exact arithmetic.  The state is
-    re-symmetrized after every step and validated at the end (drift
-    beyond 1e-8 raises NotPositive).  A non-finite t_final, a dt not
-    positive and finite, or a dt above 0.1/gamma0 is rejected first.
+    h is P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so n steps are
+    P(h)^n: stepwise RK4 in exact arithmetic.  P(dt)^n is taken by
+    repeated squaring and applied to vec(rho0), then P(rem) for a
+    remainder step; the state is symmetrized once and validated (drift
+    beyond 1e-8 raises NotPositive).  A non-finite t_final or step count
+    t_final/dt, a dt not positive and finite, or a dt above 0.1/gamma0 is
+    rejected first.
     """
     if not np.isfinite(t_final):
         raise InvalidTime(f"t_final must be finite, got {t_final!r}")
@@ -143,16 +149,19 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if dt > 0.1 / gamma0:
         raise StepTooLarge(f"dt {dt!r} exceeds 0.1/gamma0 = {0.1 / gamma0!r}")
+    steps = t_final / dt + 1e-12
+    if not np.isfinite(steps):
+        raise InvalidTime(f"step count t_final / dt must be finite, "
+                          f"got t_final={t_final!r}, dt={dt!r}")
     lv = _liouvillian(side, gamma0)
     eye = np.eye(16)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    n_full = int(np.floor(t_final / dt + 1e-12))
+    n_full = int(np.floor(steps))
     rem = t_final - n_full * dt
+    vec = np.asarray(rho0, dtype=complex).reshape(16)
     for h, count in [(dt, n_full)] + ([(rem, 1)] if rem > 1e-15 else []):
         prop = eye  # Horner: P(h) = I + hL (I + hL/2 (I + hL/3 (I + hL/4)))
         for k in (4, 3, 2, 1):
             prop = eye + (h / k) * (lv @ prop)
-        for _ in range(count):
-            rho = (prop @ rho.reshape(16)).reshape(4, 4)
-            rho = 0.5 * (rho + rho.conj().T)
-    return states.validate(rho, tol=1e-8)
+        vec = np.linalg.matrix_power(prop, count) @ vec
+    rho = vec.reshape(4, 4)
+    return states.validate(0.5 * (rho + rho.conj().T), tol=1e-8)

@@ -200,14 +200,28 @@ def _stepwise_rk4(rho, side, gamma0, t_final, dt):
 
 
 def test_integrate_is_stepwise_rk4():
-    # t_final = 0.3337 at dt = 1e-3 leaves a remainder step of 7e-4
+    # t_final = 0.3337 at dt = 1e-3 leaves a remainder step of 7e-4; gamma0 = 1.3
+    # checks that the unit-rate generators scale with the rate
     for seed in range(5):
         rho = sample_random_state(seed, "full-rank")
         for side in ("A", "B", "both"):
-            for t_final in (1.0, 0.3337):
-                out = integrate(rho, side, 1.0, t_final, dt=1e-3)
-                ref = _stepwise_rk4(rho, side, 1.0, t_final, 1e-3)
-                assert np.max(np.abs(out - ref)) < 1e-13, (seed, side, t_final)
+            for gamma0, t_final in ((1.0, 1.0), (1.0, 0.3337), (1.3, 0.3337)):
+                out = integrate(rho, side, gamma0, t_final, dt=1e-3)
+                ref = _stepwise_rk4(rho, side, gamma0, t_final, 1e-3)
+                assert np.max(np.abs(out - ref)) < 1e-13, (seed, side, gamma0, t_final)
+
+
+def test_integrate_long_horizon_and_composition():
+    for seed in range(5):
+        rho = sample_random_state(seed, "full-rank")
+        for side in ("A", "B", "both"):
+            out = integrate(rho, side, 1.0, 50.0, dt=1e-3)
+            exact = apply_channel(rho, EmissionChannel(side, 50.0))
+            assert np.max(np.abs(out - exact)) < 1e-8, (seed, side)
+
+            two = integrate(integrate(rho, side, 1.0, 0.4), side, 1.0, 0.6)
+            one = integrate(rho, side, 1.0, 1.0)
+            assert np.max(np.abs(two - one)) < 1e-13, (seed, side)
 
 
 def test_integrate_examples():
@@ -236,6 +250,10 @@ def test_integrate_examples():
     for t_final in (np.inf, -np.inf, float("nan")):
         with pytest.raises(InvalidTime, match="t_final must be finite"):
             integrate(rho, "A", 1.0, t_final)
+    # a finite horizon whose step count t_final / dt overflows
+    with pytest.raises(InvalidTime,
+                       match=r"t_final / dt must be finite, got t_final=1e\+300, dt=1e-10"):
+        integrate(rho, "A", 1.0, 1e300, dt=1e-10)
     for dt in (0.0, -1e-3, np.inf, float("nan")):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             integrate(rho, "A", 1.0, 1.0, dt=dt)
