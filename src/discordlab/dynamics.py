@@ -11,13 +11,18 @@ and the exact solution is the amplitude-damping channel with Kraus pair
     p = 1 - exp(-gamma0 t),
 
 tensored with the identity on the untouched side.  `evolve_states`
-applies the Kraus form (exact for any t) at a whole vector of times in
-one step, building the Kraus operators per time; `apply_channel` is its
-one-time case.  `lindblad_rhs` is the generator as one 16x16 matrix on
-vec(rho), the rate times a unit-rate generator built once per side at
-import.  `integrate` is fixed-step RK4 on the master equation, taken as
-the n-th power of the one-step propagator, and exists as an independent
-cross-check of the channel, not as the production path.
+applies this channel (exact for any t) at a whole vector of times in
+one step, as an elementwise map on rho: the no-jump term scales rows
+and columns by sqrt(1-p), and each jump moves the decaying atom's
+|e><e| block, scaled by sqrt(p), onto its |g><g| block.  No Kraus
+operator is built, yet the result equals the Kraus sum to the bit (up
+to the sign of zeros), because the products and sums are taken in the
+same order.  `apply_channel` is its one-time case.  `lindblad_rhs` is
+the generator as one real 16x16 matrix on vec(rho), the rate times a
+unit-rate generator built once per side at import.  `integrate` is
+fixed-step RK4 on the master equation, taken as the n-th power of the
+one-step propagator, and exists as an independent cross-check of the
+channel, not as the production path.
 """
 
 from __future__ import annotations
@@ -75,29 +80,57 @@ def _check_channel(side: str, gamma0: float, t_min: float) -> None:
         raise InvalidTime(f"evolution time must be >= 0, got {t_min!r}")
 
 
-def _kraus(side: str, times: np.ndarray, gamma0: float) -> np.ndarray:
-    """Kraus operators at each time, shape (2 or 4, n, 4, 4)."""
-    p = 1.0 - np.exp(-gamma0 * times)
-    k0 = np.zeros((len(times), 2, 2), dtype=complex)
-    k1 = np.zeros_like(k0)
-    k0[:, 0, 0] = np.sqrt(1.0 - p)
-    k0[:, 1, 1] = 1.0
-    k1[:, 1, 0] = np.sqrt(p)
-    if side == "A":
-        pairs = [(k0, I2), (k1, I2)]
-    elif side == "B":
-        pairs = [(I2, k0), (I2, k1)]
-    else:
-        pairs = [(ka, kb) for ka in (k0, k1) for kb in (k0, k1)]
-    return np.stack([kron(a, b) for a, b in pairs])
+def _as_state(rho) -> np.ndarray:
+    """rho as a complex 4x4 array; any other shape raises StateError."""
+    a = np.asarray(rho, dtype=complex)
+    if a.shape != (4, 4):
+        raise states.StateError(f"expected a 4x4 matrix, got shape {a.shape}")
+    return a
+
+
+def _scaled(block: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(block * c_i) * c_j at every time: rows scaled first, then columns; c is (n, m)."""
+    return (block * c[:, :, None]) * c[:, None, :]
 
 
 def evolve_states(rho, side: str, times, gamma0: float = 1.0) -> np.ndarray:
-    """Exact evolved states sum_k K(t) rho K(t)^dagger at every t in times: (n, 4, 4)."""
+    """Exact evolved states sum_k K(t) rho K(t)^dagger at every t in times: (n, 4, 4).
+
+    Each Kraus operator has at most one nonzero entry in every row and
+    column, so the sum is an elementwise map: the no-jump term scales
+    rho by the diagonal d of its Kraus product, and each jump term moves
+    a scaled block of rho onto the block where the decayed atom is in
+    |g>.  The products and sums are taken in the order of the Kraus sum,
+    so the result equals it (up to the sign of zero entries).
+    """
     t = np.asarray(times, dtype=float).reshape(-1)
-    _check_channel(side, gamma0, float(np.min(t, initial=0.0)))
-    ks = _kraus(side, t, gamma0)
-    return np.sum(ks @ np.asarray(rho, dtype=complex) @ np.swapaxes(ks.conj(), -1, -2), axis=0)
+    _check_channel(side, gamma0, float(t.min(initial=0.0)))
+    rho = _as_state(rho)
+    p = 1.0 - np.exp(-gamma0 * t)
+    k = np.sqrt(1.0 - p)
+    j = np.sqrt(p)
+    # complex factors, so that no product below casts on the fly
+    d = np.ones((len(t), 4), dtype=complex)  # diagonal of the no-jump Kraus product
+    if side == "A":
+        d[:, 0] = d[:, 1] = k
+        out = _scaled(rho, d)
+        out[:, 2:, 2:] += _scaled(rho[:2, :2], j.astype(complex)[:, None])
+    elif side == "B":
+        d[:, 0] = d[:, 2] = k
+        out = _scaled(rho, d)
+        out[:, 1::2, 1::2] += _scaled(rho[::2, ::2], j.astype(complex)[:, None])
+    else:  # Kraus order: no jump, jump on B, jump on A, jump on both
+        d[:, 0] = k * k
+        d[:, 1] = d[:, 2] = k
+        out = _scaled(rho, d)
+        c = np.empty((len(t), 2), dtype=complex)
+        c[:, 0] = k * j  # the A jump's factor j*k is the same double
+        c[:, 1] = j
+        out[:, 1::2, 1::2] += _scaled(rho[::2, ::2], c)
+        out[:, 2:, 2:] += _scaled(rho[:2, :2], c)
+        jj = j * j
+        out[:, 3, 3] += (rho[0, 0] * jj) * jj
+    return out
 
 
 def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:
@@ -106,11 +139,12 @@ def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:
 
 
 def _unit_dissipator(sm: np.ndarray) -> np.ndarray:
-    """One decaying atom at gamma0 = 1 as a (16, 16) matrix on row-major vec,
+    """One decaying atom at gamma0 = 1 as a real (16, 16) matrix on row-major vec,
     vec(A X B) = (A kron B^T) vec(X)."""
     eye = np.eye(4)
     n_op = sm.conj().T @ sm
-    return 0.5 * (2.0 * np.kron(sm, sm.conj()) - np.kron(n_op, eye) - np.kron(eye, n_op.T))
+    lv = 0.5 * (2.0 * np.kron(sm, sm.conj()) - np.kron(n_op, eye) - np.kron(eye, n_op.T))
+    return lv.real  # every entry is real, so RK4's products run in float64
 
 
 # L is linear in gamma0, so each side's generator is built once, at unit rate
@@ -127,7 +161,7 @@ def _liouvillian(side: str, gamma0: float) -> np.ndarray:
 def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:
     """Right-hand side of the emission master equation (traceless)."""
     _check_channel(side, gamma0, 0.0)
-    return (_liouvillian(side, gamma0) @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
+    return (_liouvillian(side, gamma0) @ _as_state(rho).reshape(16)).reshape(4, 4)
 
 
 def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
@@ -157,7 +191,7 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     eye = np.eye(16)
     n_full = int(np.floor(steps))
     rem = t_final - n_full * dt
-    vec = np.asarray(rho0, dtype=complex).reshape(16)
+    vec = _as_state(rho0).reshape(16)
     for h, count in [(dt, n_full)] + ([(rem, 1)] if rem > 1e-15 else []):
         prop = eye  # Horner: P(h) = I + hL (I + hL/2 (I + hL/3 (I + hL/4)))
         for k in (4, 3, 2, 1):

@@ -1,6 +1,9 @@
-"""Emission channels: Kraus action, element tables, the Lindblad generator
-against its operator sum, the RK4 cross-check against stepwise RK4, and
-asymptotic states."""
+"""Emission channels: the elementwise map against the Kraus sum, element
+tables, the Lindblad generator against its operator sum, the RK4
+cross-check against stepwise RK4, and asymptotic states."""
+
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +78,67 @@ def test_channel_rejects_nan_gamma0_and_times():
     # t = inf stays valid: it is the asymptotic state
     np.testing.assert_allclose(evolve_states(KET_EE, "both", [np.inf])[0], KET_GG, atol=1e-15)
     EmissionChannel("B", np.inf)
+
+
+def test_dynamics_rejects_anything_but_one_state():
+    # a stack must not come back as state i evolved to time i, and other
+    # shapes must not fail inside numpy with a broadcasting message
+    rho = sample_random_state(0, "full-rank")
+    for bad in (np.stack([rho, rho]), np.eye(3) / 3, rho.reshape(16)):
+        shape = re.escape(f"got shape {bad.shape}")
+        with pytest.raises(states.StateError, match=shape):
+            evolve_states(bad, "A", [0.1, 0.2])
+        with pytest.raises(states.StateError, match=shape):
+            apply_channel(bad, EmissionChannel("both", 0.1))
+        with pytest.raises(states.StateError, match=shape):
+            lindblad_rhs(bad, "B")
+        with pytest.raises(states.StateError, match=shape):
+            integrate(bad, "A", 1.0, 0.1)
+
+
+def _kraus_sum(rho, side, times, gamma0):
+    """sum_k K rho K^dagger at each time, the amplitude-damping pair
+    K0 = [[sqrt(1-p), 0], [0, 1]], K1 = [[0, 0], [sqrt(p), 0]] on each
+    decaying side, summed in the order (no jump, jump) x (no jump, jump)."""
+    p = 1.0 - np.exp(-gamma0 * np.asarray(times, dtype=float))
+    out = []
+    for pt in p:
+        k0 = np.array([[np.sqrt(1.0 - pt), 0.0], [0.0, 1.0]], dtype=complex)
+        k1 = np.array([[0.0, 0.0], [np.sqrt(pt), 0.0]], dtype=complex)
+        ops = {"A": [linalg.kron(k, linalg.I2) for k in (k0, k1)],
+               "B": [linalg.kron(linalg.I2, k) for k in (k0, k1)],
+               "both": [linalg.kron(a, b) for a in (k0, k1) for b in (k0, k1)]}[side]
+        terms = [k @ rho @ k.conj().T for k in ops]
+        out.append(sum(terms[1:], terms[0]))
+    return np.array(out)
+
+
+def test_evolve_states_is_the_kraus_sum():
+    times = [0.0, 1e-300, 0.4, 1.0, 2.5, 30.0, np.inf]
+    for family in ("full-rank", "bell-diagonal", "x-shaped"):
+        for seed in range(30):
+            rho = sample_random_state(seed, family)
+            for side in ("A", "B", "both"):
+                for gamma0 in (0.7, 1.0, 2.5):
+                    np.testing.assert_array_equal(evolve_states(rho, side, times, gamma0),
+                                                  _kraus_sum(rho, side, times, gamma0),
+                                                  err_msg=f"{family} {seed} {side} {gamma0}")
+
+
+def test_evolve_states_builds_no_kraus_stacks():
+    # the 1001 output states take 256 kB; Kraus stacks and their products
+    # would take 2-4 MB more
+    rho = sample_random_state(1, "full-rank")
+    times = np.linspace(0.0, 10.0, 1001)
+    for side in ("A", "B", "both"):
+        evolve_states(rho, side, times)
+        tracemalloc.start()
+        try:
+            evolve_states(rho, side, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (side, peak)
 
 
 def test_apply_channel_identity_at_t0():
