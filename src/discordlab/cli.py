@@ -21,8 +21,10 @@ Options are spelled out in full: a prefix of one is a usage error.
 closed-form family series of `families`, and `critical` prints its
 closed-form critical couplings.
 
-All numeric output uses 17 significant digits and line-feed endings, so
-identical invocations produce byte-identical files.  Exit codes: 0 on
+All numeric output uses 17 significant digits ("%.17g") and line-feed
+endings, so identical invocations produce byte-identical files; each CSV
+table is formatted by one % operation, a row template repeated once per
+row (`write_rows`).  Exit codes: 0 on
 success, 2 on parse errors (state files, config files, usage), 3 on state
 validation errors, 4 on domain or parameter errors.
 """
@@ -140,21 +142,24 @@ def write_text(out_path, text):
             fh.truncate()
 
 
-def write_rows(out_path, header, rows):
-    """One header line plus the CSV rows, through `write_text`."""
-    write_text(out_path, header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+def write_rows(out_path, header, *columns):
+    """One header line plus a CSV row per entry of the equal-length columns,
+    through `write_text`.
 
-
-def _columns(*cols) -> list:
-    """CSV rows from equal-length columns: numbers formatted, strings kept."""
-    text = [[v if isinstance(v, str) else fmt(v) for v in np.asarray(c).tolist()] for c in cols]
-    return [list(row) for row in zip(*text)]
+    String columns are written as they are and numeric ones as `fmt` would
+    write them ("%.17g"), the whole table in one % operation: one row
+    template, repeated once per row, applied to the values row by row.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in cols) + "\n"
+    values = np.array(cols, dtype=object).T.ravel().tolist()
+    write_text(out_path, header + "\n" + (row * len(cols[0])) % tuple(values))
 
 
 def cmd_measure(ns) -> int:
     rho = states.validate(states.read_state_file(ns.state_file))
     d1, d2, neg, route = measures.measure_batch(rho[None])
-    write_rows(ns.out, MEASURE_HEADER, _columns(d1, d2, np.sqrt(d2), neg, route))
+    write_rows(ns.out, MEASURE_HEADER, d1, d2, np.sqrt(d2), neg, route)
     return 0
 
 
@@ -177,28 +182,31 @@ def cmd_evolve(ns) -> int:
     rho0 = _initial_state(ns)
     t = np.linspace(0.0, ns.t_max, ns.n_points)
     d1, d2, neg, _ = measures.measure_batch(dynamics.evolve_states(rho0, ns.side, t, ns.gamma0))
-    write_rows(ns.out, EVOLVE_HEADER, _columns(ns.gamma0 * t, d1, d2, np.sqrt(d2), neg))
+    write_rows(ns.out, EVOLVE_HEADER, ns.gamma0 * t, d1, d2, np.sqrt(d2), neg)
     return 0
 
 
-def _figure_rows(ns):
+def _figure_columns(ns):
     if ns.n == 1:
         theta = np.linspace(0.0, np.pi / 2, ns.n_points)
         d1, d2, neg, _ = measures.measure_batch(families.theta_states(theta))
-        return _columns(theta, neg, np.sqrt(d2), d1)
+        return theta, neg, np.sqrt(d2), d1
     family, w, s = FIGURE_STATES[ns.n]
     p = families.FamilyParams(family, w=w, s=s)
     gt = ns.gamma0 * np.linspace(0.0, ns.t_max, ns.n_points)  # the families work in gamma0 t
     if ns.n == 5:
         # the D1 curve of this state touches zero at gamma0 t = ln(4w), which a
         # uniform grid never samples closely enough to show; add the exact point
-        gt = np.sort(np.append(gt, np.log(4.0 * w)))
+        # when it lies on the grid's span and is not already one of its points
+        zero = np.log(4.0 * w)
+        if zero <= gt[-1] and zero not in gt:
+            gt = np.sort(np.append(gt, zero))
     d2 = families.d2_timeseries_A(p, gt)
     if ns.n == 6:
         d2_b = families.d2_timeseries_B(p, gt)
-        return _columns(d2.times, np.sqrt(d2.values), np.sqrt(d2_b.values))
+        return d2.times, np.sqrt(d2.values), np.sqrt(d2_b.values)
     d1 = families.d1_timeseries_A(p, gt)
-    return _columns(d1.times, d1.values, np.sqrt(d2.values))
+    return d1.times, d1.values, np.sqrt(d2.values)
 
 
 def cmd_figure(ns) -> int:
@@ -206,7 +214,7 @@ def cmd_figure(ns) -> int:
         raise UnknownFigure(f"no figure {ns.n}; expected 1..6")
     fill_settings(ns)
     out = ns.out if ns.out is not None else f"fig{ns.n}.csv"
-    write_rows(out, FIGURE_HEADERS[ns.n], _figure_rows(ns))
+    write_rows(out, FIGURE_HEADERS[ns.n], *_figure_columns(ns))
     return 0
 
 
@@ -226,7 +234,7 @@ def cmd_sweep(ns) -> int:
     fill_settings(ns)
     if ns.wcount < 1:
         raise ValueError(f"wcount must be positive, got {ns.wcount!r}")
-    rows = []
+    cols = [[] for _ in SWEEP_HEADER.split(",")]
     for w in np.linspace(ns.wmin, ns.wmax, ns.wcount):
         s = families.s_max(float(w)) if ns.s is None else ns.s
         try:
@@ -236,10 +244,11 @@ def cmd_sweep(ns) -> int:
             continue
         rep = families.regime(p)
         t_zero = float("nan") if rep.t_zero is None else rep.t_zero / ns.gamma0
-        rows.append([fmt(rep.w), fmt(rep.s), fmt_bool(rep.d2_increases_under_A),
-                     fmt_bool(rep.d1_increases_under_A), fmt_bool(rep.d2_increases_under_B),
-                     fmt(t_zero)])
-    write_rows(ns.out, SWEEP_HEADER, rows)
+        row = (rep.w, rep.s, fmt_bool(rep.d2_increases_under_A),
+               fmt_bool(rep.d1_increases_under_A), fmt_bool(rep.d2_increases_under_B), t_zero)
+        for col, value in zip(cols, row):
+            col.append(value)
+    write_rows(ns.out, SWEEP_HEADER, *cols)
     return 0
 
 

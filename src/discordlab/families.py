@@ -108,9 +108,12 @@ _SNAP = np.arange(-5, 6)
 _GROWTH_MARGIN = 1e-9
 
 
-def _check_theta(th: float) -> None:
-    if not 0.0 <= th <= math.pi / 2.0 + 1e-12:  # so NaN fails too
-        raise ParamOutOfRange(f"theta must lie in [0, pi/2], got {th!r}")
+def _check_theta(th) -> None:
+    """Raise ParamOutOfRange unless th, a float or an array, lies in [0, pi/2]."""
+    th = np.asarray(th)
+    bad = ~((0.0 <= th) & (th <= math.pi / 2.0 + 1e-12))  # so NaN fails too
+    if bad.any():
+        raise ParamOutOfRange(f"theta must lie in [0, pi/2], got {th[bad][0].item()!r}")
 
 
 def s_max(w: float) -> float:
@@ -172,11 +175,14 @@ class RegimeReport:
     t_zero: float | None
 
 
-def _theta_elements(th: float) -> tuple[float, float, float, float, float, float]:
-    """(r11, r22, r33, r44, r14, r23) of the theta family member at th in [0, pi/2]."""
+def _theta_elements(th):
+    """(r11, r22, r33, r44, r14, r23) of the theta family members at th in
+    [0, pi/2], elementwise over a float or an array."""
     _check_theta(th)
-    return (math.cos(th) ** 2 / 2.0, 0.0, 0.5,
-            math.sin(th) ** 2 / 2.0, math.sin(2.0 * th) / 4.0, 0.0)
+    c, s = np.cos(th), np.sin(th)
+    zero = np.zeros_like(c)
+    # c * c is correctly rounded, where c ** 2 on a float goes through pow
+    return (c * c / 2.0, zero, zero + 0.5, s * s / 2.0, np.sin(2.0 * th) / 4.0, zero)
 
 
 def _x_elements(p: FamilyParams) -> tuple[float, float, float, float, float, float]:
@@ -196,7 +202,7 @@ def make_state(p: FamilyParams) -> np.ndarray:
 def theta_states(thetas) -> np.ndarray:
     """The theta family members at every theta in thetas, one stack (n, 4, 4)."""
     th = np.asarray(thetas, dtype=float).reshape(-1)
-    return states.from_x_fields(np.reshape([_theta_elements(t) for t in th.tolist()], (-1, 6)))
+    return states.from_x_fields(np.stack(_theta_elements(th), axis=-1))
 
 
 def _coefficients(el, side: str, gt: np.ndarray):

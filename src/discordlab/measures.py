@@ -1,10 +1,13 @@
 """Quantum-correlation measures for two-qubit states.
 
-`measure_batch` is the one measure pipeline: for a stack of states it
-makes one Bloch decomposition, one batched eigensolve for D2 and one for
-the negativity, and takes D1 from the X-state kernel on the states that
-pass `states.to_x_state`'s test and from one `d1_exact` call on the rest.
-`d2_closed`, `negativity` and `d1_exact` are its one-state cases.
+`measure_batch` is the one measure pipeline.  For a stack of states it
+takes D2 and the negativity of every X-pattern state (off-pattern entries
+exactly zero, coherences of any phase) in closed form, and those of the
+other states from one Bloch decomposition and one batched eigensolve each;
+D1 comes from the X-state kernel on the states that pass
+`states.to_x_state`'s test and from one `d1_exact` call on the rest.
+`d2_closed` and `negativity` stay the general eigensolver forms, and
+`d1_exact` is the one-state case of its D1 route.
 
 Both geometric discords minimize over projective measurements on
 subsystem A only.  The Hilbert-Schmidt version
@@ -18,7 +21,14 @@ non-negative X class both have closed forms in terms of
     x  = 2 (r11 + r22) - 1.
 
 There K = diag(a1^2, a2^2, a3^2 + x^2), so D2 is half the smallest
-pairwise sum of those three (`d2_x_kernel`).  D1, with
+pairwise sum of those three (`d2_x_kernel`; Dakic, Vedral & Brukner,
+PRL 105, 190502).  Local z-rotations, which give the coherences phases,
+change neither D2 nor the negativity, so both take the coherences'
+moduli.  The partial transpose of an X state splits into the blocks
+[[r11, |r23|], [|r23|, r44]] and [[r22, |r14|], [|r14|, r33]]; each has
+eigenvalues l+ = m + hypot(d, c) and l- = det / l+ (with m, d the mean
+and half difference of its diagonal and c its coherence), and for unit
+trace the negativity is -2 times the sum of the negative ones.  D1, with
 a = max(a3^2, a2^2 + x^2) and b = min(a3^2, a1^2), is the weighted mean
 (Ciccarello, Tufarelli & Giovannetti 2014)
 
@@ -120,25 +130,52 @@ def _negativity(rhos: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.sum(np.abs(linalg.hermitian_eigenvalues(pt)), axis=-1) - 1.0)
 
 
+def _x_d2_negativity(a: np.ndarray):
+    """D2 and the negativity of X-pattern states (n, 4, 4), from their
+    populations and the moduli of their coherences (module docstring)."""
+    r11, r22, r33, r44 = np.diagonal(a, axis1=-2, axis2=-1).real.T
+    r14, r23 = np.abs(a[:, 0, 3]), np.abs(a[:, 1, 2])
+    d2 = d2_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23)[:4])
+    neg = np.zeros(len(a))
+    for p, q, c in ((r11, r44, r23), (r22, r33, r14)):
+        top = 0.5 * (p + q) + np.hypot(0.5 * (p - q), c)
+        # l- as det / l+ keeps its digits; l+ = 0 only where det = 0 too
+        neg -= np.minimum((p * q - c * c) / np.where(top == 0.0, 1.0, top), 0.0)
+    # neg starts at +0 and takes away only +0 or negative values: it never reads -0
+    return d2, 2.0 * neg
+
+
 def measure_batch(rhos):
     """d1, d2, negativity and the d1 route of every state in a stack (n, 4, 4).
 
     One 4x4 state counts as n = 1.  The route reads "closed-x" where the
     state passes `states.to_x_state`'s test (same tolerance, coherences
     clamped at 0) and D1 comes from `d1_x_kernel`, and "exact" where D1
-    comes from one `d1_exact` call over all those rows, on the Bloch form
-    already computed.  Returns arrays d1, d2, neg and route, of length n.
+    comes from one `d1_exact` call over all those rows.  D2 and the
+    negativity come in closed form on the rows whose off-pattern entries
+    are exactly zero, and from one Bloch decomposition and one batched
+    eigensolve each on the rest, which also feeds `d1_exact`.  Returns
+    arrays d1, d2, neg and route, of length n.
     """
     a = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    bd = states.bloch(a)
-    x, t = bd.x_vec, bd.corr
     is_x, f = states.x_fields(a)
-    d1 = np.empty(len(a))
-    r11, r22, r33, _, r14, r23 = f[is_x].T
-    d1[is_x] = d1_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23))
-    if not is_x.all():
-        d1[~is_x] = _d1_exact(x[~is_x], t[~is_x])
-    return d1, _d2(x, t), _negativity(a), np.where(is_x, "closed-x", "exact")
+    on = ~np.any(a[:, ~states._X_PATTERN], axis=-1)  # exact zeros off the X pattern
+    d1, d2, neg = np.empty(len(a)), np.empty(len(a)), np.empty(len(a))
+    if is_x.any():
+        r11, r22, r33, _, r14, r23 = f[is_x].T
+        d1[is_x] = d1_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23))
+    if on.any():
+        d2[on], neg[on] = _x_d2_negativity(a[on])
+    rest = ~(is_x & on)  # the rows that need the Bloch form
+    if rest.any():
+        bd = states.bloch(a[rest])
+        x, t, off, exact = bd.x_vec, bd.corr, ~on[rest], ~is_x[rest]
+        if off.any():
+            d2[~on] = _d2(x[off], t[off])
+            neg[~on] = _negativity(a[~on])
+        if exact.any():
+            d1[~is_x] = _d1_exact(x[exact], t[exact])
+    return d1, d2, neg, np.where(is_x, "closed-x", "exact")
 
 
 def d2_closed(rho) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discordlab import dynamics, families, measures, states
+from discordlab import cli, dynamics, families, measures, states
 from discordlab.cli import build_parser, main
 
 LOG2 = math.log(2.0)
@@ -318,6 +318,23 @@ def test_figure_5_zero_point_exact_for_every_rate(tmp_path, capsys):
         assert format(math.log(1.6), ".17g") in [r[0] for r in rows], gamma0
 
 
+def test_figure_5_zero_point_only_on_the_grid(tmp_path, capsys):
+    # ln 1.6 is added only inside [0, gamma0 tmax] and only when it is not
+    # already a grid point
+    out_file = tmp_path / "f5.csv"
+    assert run_cli(capsys, "figure", "5", "--tmax", "0.1", "--points", "3",
+                   "--out", str(out_file))[0] == 0
+    _, rows = rows_of(out_file.read_text())
+    assert [r[0] for r in rows] == ["0", "0.050000000000000003", "0.10000000000000001"]
+    zero = float(np.log(4.0 * 0.4))
+    assert run_cli(capsys, "figure", "5", "--tmax", repr(zero), "--points", "2",
+                   "--out", str(out_file))[0] == 0
+    _, rows = rows_of(out_file.read_text())
+    assert [float(r[0]) for r in rows] == [0.0, zero]
+    assert run_cli(capsys, "figure", "5", "--out", str(out_file))[0] == 0
+    assert len(rows_of(out_file.read_text())[1]) == 1002
+
+
 def test_figure_6_side_columns(tmp_path, capsys):
     out_file = tmp_path / "f6.csv"
     code, _, _ = run_cli(capsys, "figure", "6", "--points", "201",
@@ -449,6 +466,20 @@ def test_sweep_given_s_is_fixed(capsys):
         "0.20000000000000001,0.20000000000000001,true,true,false,nan\n"
         "0.25,0.20000000000000001,true,true,false,nan\n"
     )
+
+
+def test_write_rows_matches_per_field_format(capsys):
+    # one % operation over the table writes what format(v, ".17g") writes per field
+    nums = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1.0, -2.5e-17]
+    words = ["closed-x", "exact", "true", "false", "x", "y", "z", "", "nan"]
+    cli.write_rows(None, "a,b,c", nums, words, np.array(nums[::-1]))
+    want = "".join(f"{format(u, '.17g')},{w},{format(v, '.17g')}\n"
+                   for u, w, v in zip(nums, words, nums[::-1]))
+    assert capsys.readouterr().out == "a,b,c\n" + want
+    # every row skipped: the header alone
+    code, out, err = run_cli(capsys, "sweep", "--s", "0.3", "--wcount", "3")
+    assert code == 0 and out == "w,s,d2_inc_A,d1_inc_A,d2_inc_B,t_zero\n"
+    assert err.count("skipping") == 3
 
 
 def test_gamma0_only_rescales_time(tmp_path, capsys):

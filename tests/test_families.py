@@ -88,9 +88,19 @@ def test_theta_states_match_make_state():
     assert stack.shape == (101, 4, 4)
     for th, rho in zip(thetas.tolist(), stack):
         assert np.array_equal(rho, make_state(FamilyParams("theta", theta=th)))
-    for bad in ([-0.1, 0.3], [2.0], [np.nan]):
-        with pytest.raises(ParamOutOfRange):
+    for bad, got in (([-0.1, 0.3], "-0.1"), ([0.3, 2.0], "2.0"), ([np.nan], "nan")):
+        with pytest.raises(ParamOutOfRange, match=rf"^theta must lie in \[0, pi/2\], got {got}$"):
             families.theta_states(bad)
+
+
+def test_theta_populations_are_correctly_rounded():
+    # r11 and r44 are the correctly rounded squares of cos and sin, halved
+    # exactly; cos(t) ** 2 through pow is 1 ulp off at some of these angles
+    thetas = np.linspace(0.0, math.pi / 2, 1001)
+    stack = families.theta_states(thetas)
+    for th, rho in zip(thetas.tolist(), stack):
+        assert rho[0, 0].real == float(Fraction(math.cos(th)) ** 2 / 2)
+        assert rho[3, 3].real == float(Fraction(math.sin(th)) ** 2 / 2)
 
 
 def test_make_state_theta_zero():

@@ -1,10 +1,12 @@
 """Correlation measures: closed forms, the measurement map, negativity and
 the brute-force minimization oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from discordlab import families, linalg, measures, states
+from discordlab import dynamics, families, linalg, measures, states
 from discordlab.measures import (
     d1_closed_x,
     d1_exact,
@@ -343,6 +345,83 @@ def test_measure_batch_eigensolves_do_not_grow_with_the_stack(monkeypatch):
         assert list(measure_batch(stack)[3]) == ["exact"] * len(stack)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def evolved_x_stack():
+    """Family states under emission on every side, at times from 0 to inf."""
+    times = np.array([0.0, 1e-3, 0.4, 1.0, 2.5, 30.0, np.inf])
+    out = []
+    for p in (families.FamilyParams("classical", w=0.25, s=0.25),
+              families.FamilyParams("discordant", w=0.4, s=0.2),
+              families.FamilyParams("theta", theta=0.7),
+              families.FamilyParams("theta", theta=1.5692255304681018)):
+        for side in ("A", "B", "both"):
+            out += list(dynamics.evolve_states(families.make_state(p), side, times, 1.0))
+    return np.array(out)
+
+
+def phased_x_stack(n):
+    """Seeded X states under local z-rotations, half with negative coherences."""
+    out = []
+    for seed in range(n):
+        rho = random_z_phases(sample_random_state(seed, "x-shaped"), seed)
+        if seed % 2:  # a phase of pi on both coherences
+            rho[[0, 1, 2, 3], [3, 2, 1, 0]] *= -1.0
+        out.append(rho)
+    return np.array(out)
+
+
+def test_measure_batch_x_rows_make_no_eigensolves(monkeypatch):
+    # rows with exact zeros off the X pattern take d2 and the negativity in
+    # closed form, whatever the phases of their coherences; d1_exact, which
+    # the phased rows and the Bell-diagonal ones with a negative coherence
+    # take for d1, is stubbed out, as its eigensolves are its own
+    stack = np.concatenate([evolved_x_stack(), phased_x_stack(20),
+                            [sample_random_state(seed, "bell-diagonal") for seed in range(20)]])
+    calls = []
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(measures, "_d1_exact", lambda x, t: np.zeros(len(x)))
+    route = measure_batch(stack)[3]
+    assert set(route) == {"closed-x", "exact"}
+    assert calls == []
+
+
+def exact_x_d2(rho):
+    """Half the smallest pairwise sum of (a1^2, a2^2, a3^2 + x^2), exactly, from
+    the entries of an X state with real coherences."""
+    r = [[Fraction(float(v.real)) for v in row] for row in rho]
+    assert not np.any(np.asarray(rho).imag)
+    r11, r22, r33, r14, r23 = r[0][0], r[1][1], r[2][2], abs(r[0][3]), abs(r[1][2])
+    k = (4 * (r23 + r14) ** 2, 4 * (r23 - r14) ** 2,
+         (1 - 2 * (r22 + r33)) ** 2 + (2 * (r11 + r22) - 1) ** 2)
+    return min(k[0] + k[1], k[0] + k[2], k[1] + k[2]) / 2
+
+
+def test_x_d2_is_the_exact_closed_form():
+    # relative 1e-15, with an absolute floor for the classical state under
+    # side-B emission, whose d2 is 0 up to the rounding of its populations
+    # (about 3e-33 on the stored entries)
+    thetas = np.append(np.linspace(0.0, np.pi / 2, 101), 1.5692255304681018)
+    stack = np.concatenate([families.theta_states(thetas), evolved_x_stack()])
+    d2 = measure_batch(stack)[1]
+    for rho, got in zip(stack, d2):
+        want = exact_x_d2(rho)
+        assert abs(Fraction(float(got)) - want) <= Fraction(1e-15) * want + Fraction(1e-30)
+
+
+def test_x_negativity_matches_eigensolver():
+    stack = np.concatenate([phased_x_stack(200), evolved_x_stack(),
+                            families.theta_states([0.0, np.pi / 4, np.pi / 2]), [MAXMIX]])
+    neg = measure_batch(stack)[2]
+    want = np.array([negativity(rho) for rho in stack])
+    assert np.max(np.abs(neg - want)) <= 1e-15
+    assert np.all(neg >= 0.0) and not np.any(np.signbit(neg))  # no -0 either
+    assert np.count_nonzero(neg == 0.0) >= 10 and np.count_nonzero(neg > 0.01) >= 10
 
 
 def gauged_x(rho):
