@@ -17,9 +17,10 @@ Options are spelled out in full: a prefix of one is a usage error.
 
 `measure`, `evolve` and `figure 1` hand all their states to
 `measures.measure_batch` in one call (`evolve` builds them with one
-`dynamics.evolve_states` call); figures 2-6 and `sweep` use the
-closed-form family series of `families`, and `critical` prints its
-closed-form critical couplings.
+`dynamics.evolve_states` call); figures 2-6 use the closed-form family
+series of `families`, `sweep` hands every member it keeps to one
+`families.regime` call, and `critical` prints its closed-form critical
+couplings.
 
 All numeric output uses 17 significant digits ("%.17g") and line-feed
 endings, so identical invocations produce byte-identical files; each CSV
@@ -130,16 +131,22 @@ def write_text(out_path, text):
     An existing output file is overwritten in place and then cut to the
     new length.  Truncating it to zero first would free and reallocate its
     blocks on every call: on ext4 that costs more than measuring a state
-    and swings with the load on the disk.
+    and swings with the load on the disk.  The UTF-8 bytes go out through
+    os.write on the raw descriptor, with no text layer in between.
     """
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a pipe or device
-            fh.truncate()
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):  # os.write may take fewer bytes than offered
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # not a pipe or device
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_rows(out_path, header, *columns):
@@ -156,8 +163,19 @@ def write_rows(out_path, header, *columns):
     write_text(out_path, header + "\n" + (row * len(cols[0])) % tuple(values))
 
 
+def _read_state(path) -> np.ndarray:
+    """The validated state of a state file, divided by its trace.
+
+    `states.validate` admits a trace within TOL of 1, and the closed forms
+    of `measure_batch` assume exactly unit trace, so every state file is
+    renormalized where it enters; a trace of exactly 1.0 leaves every bit.
+    """
+    rho = states.validate(states.read_state_file(path))
+    return rho / rho.trace().real
+
+
 def cmd_measure(ns) -> int:
-    rho = states.validate(states.read_state_file(ns.state_file))
+    rho = _read_state(ns.state_file)
     d1, d2, neg, route = measures.measure_batch(rho[None])
     write_rows(ns.out, MEASURE_HEADER, d1, d2, np.sqrt(d2), neg, route)
     return 0
@@ -172,7 +190,7 @@ def _initial_state(ns):
         for flag in ("theta", "w", "s"):
             if getattr(ns, flag) is not None:
                 raise ConfigError(f"--{flag} sets a family parameter; a state file takes none")
-        return states.validate(states.read_state_file(ns.state_file))
+        return _read_state(ns.state_file)
     p = families.FamilyParams(ns.family, theta=ns.theta, w=ns.w, s=ns.s)
     return families.make_state(p)
 
@@ -234,21 +252,18 @@ def cmd_sweep(ns) -> int:
     fill_settings(ns)
     if ns.wcount < 1:
         raise ValueError(f"wcount must be positive, got {ns.wcount!r}")
-    cols = [[] for _ in SWEEP_HEADER.split(",")]
+    members = []
     for w in np.linspace(ns.wmin, ns.wmax, ns.wcount):
         s = families.s_max(float(w)) if ns.s is None else ns.s
         try:
-            p = families.FamilyParams(ns.family, w=float(w), s=float(s))
+            members.append(families.FamilyParams(ns.family, w=float(w), s=float(s)))
         except families.ParamOutOfRange as exc:
             print(f"warning: skipping w={fmt(w)}, s={fmt(s)}: {exc}", file=sys.stderr)
-            continue
-        rep = families.regime(p)
-        t_zero = float("nan") if rep.t_zero is None else rep.t_zero / ns.gamma0
-        row = (rep.w, rep.s, fmt_bool(rep.d2_increases_under_A),
-               fmt_bool(rep.d1_increases_under_A), fmt_bool(rep.d2_increases_under_B), t_zero)
-        for col, value in zip(cols, row):
-            col.append(value)
-    write_rows(ns.out, SWEEP_HEADER, *cols)
+    reps = families.regime(members)  # one pass over every member
+    flags = ("d2_increases_under_A", "d1_increases_under_A", "d2_increases_under_B")
+    write_rows(ns.out, SWEEP_HEADER, [rep.w for rep in reps], [rep.s for rep in reps],
+               *([fmt_bool(getattr(rep, flag)) for rep in reps] for flag in flags),
+               [math.nan if rep.t_zero is None else rep.t_zero / ns.gamma0 for rep in reps])
     return 0
 
 

@@ -35,7 +35,10 @@ sampled at tau = k 1e-4 for k = 1 .. 100000, exceeds its tau = 0 value by
 more than 1e-9 at some sample.  Each curve is monotone in tau between its
 branch switches and turning points, which are roots of polynomials in
 u = e^{-tau} of degree <= 4, so `regime` evaluates only the samples next to
-those roots and at both ends, and returns the flags of the full scan.
+those roots and at both ends, and returns the flags of the full scan.  It
+takes a whole sweep in one pass: the polynomials of every member form one
+stack, one batched eigensolve finds all their roots, and the three curves
+are evaluated once over the candidate samples of all members.
 
 The critical couplings are the lower roots in (0, 1/4) of two threshold
 polynomials, above which the measure of (w, s_max(w)) starts to grow
@@ -259,28 +262,27 @@ def d2_timeseries_B(p: FamilyParams, gt) -> TimeSeries:
     return _series(p, gt, "B", _d2_values)
 
 
-def _grows(values: np.ndarray) -> bool:
-    return bool(np.any(values[1:] > values[0] + _GROWTH_MARGIN))
-
-
-def _poly(*coeffs: float) -> np.ndarray:
-    """A polynomial in u, coefficients ascending, padded to degree 4."""
-    return np.array(coeffs + (0.0,) * (5 - len(coeffs)))
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Products of polynomials in u (..., 5), coefficients ascending, whose
+    degrees sum to at most 4; each coefficient summed in ascending order."""
+    out = p[..., :1] * q
+    for i in range(1, 5):
+        out[..., i:] += p[..., i : i + 1] * q[..., : 5 - i]
+    return out
 
 
 def _der(p: np.ndarray) -> np.ndarray:
-    """Derivative of a polynomial in u, padded to degree 4."""
-    return np.append(p[1:] * np.arange(1.0, 5.0), 0.0)
+    """Derivatives of polynomials in u (..., 5), padded to degree 4."""
+    out = np.zeros_like(p)
+    out[..., :4] = p[..., 1:] * np.arange(1.0, 5.0)
+    return out
 
 
-def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product of two polynomials whose degrees sum to at most 4."""
-    return np.convolve(p, q)[:5]
-
-
-def _turning_polynomials(el, side: str) -> list[np.ndarray]:
-    """Polynomials in u = e^{-tau} whose roots hold every point where the
-    D2 or D1 curve of one side switches branch or turns.
+def _turning_polynomials(el) -> np.ndarray:
+    """Polynomials (m, 22, 5) in u = e^{-tau}, coefficients ascending, whose
+    roots hold every point where a D2 or D1 curve of a member switches
+    branch or turns: eleven for side A, then eleven for side B, for each
+    of the m members whose fields el holds as six arrays (m,).
 
     With a1^2 = c1 u, a2^2 = c2 u, B = cB u and a3, x linear in u, D2 is half
     the smallest pairwise sum of (a1^2, a2^2, a3^2 + x^2): it switches sums
@@ -290,72 +292,115 @@ def _turning_polynomials(el, side: str) -> list[np.ndarray]:
     N = a1^2 (a - b) + b B and D = a - b + B: it switches where a or b does
     and otherwise turns only where N'D - N D' = 0.
     """
+    m = len(el[0])
     # the coefficients at u = 1 and at u = 0 (tau = inf) fix each line in u
-    a1, a2, a3, x, b = _coefficients(el, side, np.array([0.0, np.inf]))
-    a1sq, a2sq, bb = _poly(0.0, a1[0] ** 2), _poly(0.0, a2[0] ** 2), _poly(0.0, b[0])
-    a3sq, xsq = (_mul(v, v) for v in (_poly(a3[1], a3[0] - a3[1]), _poly(x[1], x[0] - x[1])))
+    ends = np.tile([0.0, np.inf], (m, 1))
+    col = [e[:, None] for e in el]
+    a1, a2, a3, x, b = (np.stack(c, axis=1) for c in  # each (m, side, end)
+                        zip(_coefficients(col, "A", ends), _coefficients(col, "B", ends)))
+    mono = np.zeros((3, m, 2, 5))  # a1^2, a2^2 and B: multiples of u
+    mono[..., 1] = np.square(a1[..., 0]), np.square(a2[..., 0]), b[..., 0]
+    a1sq, a2sq, bb = mono
+    lines = np.zeros((2, m, 2, 5))  # a3 and x
+    lines[..., 0] = a3[..., 1], x[..., 1]
+    lines[..., 1] = a3[..., 0] - a3[..., 1], x[..., 0] - x[..., 1]
+    a3sq, xsq = _mul(lines, lines)
     k33 = a3sq + xsq  # the third diagonal entry of K
-    polys = [a1sq - a2sq, a1sq - k33, a2sq - k33, _der(a1sq + k33), _der(a2sq + k33),
-             a3sq - a2sq - xsq, a3sq - a1sq]
-    for big in (a3sq, a2sq + xsq):
-        for small in (a3sq, a1sq):
-            n, d = _mul(a1sq, big - small) + _mul(small, bb), big - small + bb
-            polys.append(_mul(_der(n), d) - _mul(n, _der(d)))
-    return polys
+    d2_polys = [a1sq - a2sq, a1sq - k33, a2sq - k33, _der(a1sq + k33), _der(a2sq + k33),
+                a3sq - a2sq - xsq, a3sq - a1sq]
+    # the four (a, b) branches of D1 side by side
+    big = np.stack([a3sq, a3sq, a2sq + xsq, a2sq + xsq], axis=-2)
+    small = np.stack([a3sq, a1sq, a3sq, a1sq], axis=-2)
+    a1sq, bb = a1sq[..., None, :], bb[..., None, :]
+    n, d = _mul(a1sq, big - small) + _mul(small, bb), big - small + bb
+    d1_polys = _mul(_der(n), d) - _mul(n, _der(d))
+    return np.concatenate([np.stack(d2_polys, axis=-2), d1_polys], axis=-2).reshape(m, 22, 5)
 
 
-def _candidate_indices(polys: list[np.ndarray]) -> np.ndarray:
-    """Sorted indices k of the grid gamma0 t = k * _SCAN_STEP: both ends,
-    and _SNAP around every root u of polys that lies on the grid's span.
+def _candidate_indices(polys: np.ndarray):
+    """Indices k of the grid gamma0 t = k * _SCAN_STEP to evaluate for each
+    of the m members whose turning polynomials polys (m, j, 5) holds: both
+    ends, and _SNAP around every root u that lies on the grid's span.
 
-    The roots come from one batched eigensolve of 4x4 companion matrices; a
-    polynomial of lower degree is multiplied by a power of u first, which
-    only adds roots at u = 0.  A complex root gives its real part, so a
-    double root split by rounding is not lost; extra candidates cost nothing
-    but time.
+    Returns (member, k, starts): the member and grid index of every
+    candidate, sorted by member and then by k, and the position of each
+    member's first candidate, its k = 0.  The roots come from one batched
+    eigensolve of 4x4 companion matrices; a polynomial of lower degree is
+    multiplied by a power of u first, which only adds roots at u = 0.  A
+    complex root gives its real part, so a double root split by rounding
+    is not lost; extra candidates cost nothing but time.
     """
-    p = np.array(polys)
+    m = len(polys)
+    p = polys.reshape(-1, 5)
+    owner = np.repeat(np.arange(m), polys.shape[1])
     mag = np.abs(p)
     # a leading coefficient below 1e-300 of the largest counts as zero, which
     # keeps the companion matrix finite; a row of zeros has no roots
     lead = mag > 1e-300 * mag.max(axis=1, keepdims=True)
     live = lead.any(axis=1)
-    p, shift = p[live], np.argmax(lead[live, ::-1], axis=1)
-    p = np.take_along_axis(np.pad(p, ((0, 0), (4, 0))), np.arange(4, 9) - shift[:, None], axis=1)
+    p, owner, shift = p[live], owner[live], np.argmax(lead[live, ::-1], axis=1)
+    p = np.take_along_axis(np.concatenate([np.zeros((len(p), 4)), p], axis=1),
+                           np.arange(4, 9) - shift[:, None], axis=1)
     companion = np.zeros((len(p), 4, 4))
     companion[:, 0] = -p[:, 3::-1] / p[:, 4:]
     companion[:, 1:, :3] = np.eye(3)
     u = np.linalg.eigvals(companion).real.ravel()
-    k = np.rint(-np.log(u[u > 0.0]) / _SCAN_STEP)
-    k = k[(k >= 0.0) & (k <= _SCAN_LAST)].astype(np.int64)
-    near = np.clip(k[:, None] + _SNAP, 0, _SCAN_LAST).ravel()
-    return np.unique(np.concatenate([near, [0, _SCAN_LAST]]))
+    pos = u > 0.0
+    owner, k = np.repeat(owner, 4)[pos], np.rint(-np.log(u[pos]) / _SCAN_STEP)
+    on_grid = (k >= 0.0) & (k <= _SCAN_LAST)
+    near = np.clip(k[on_grid].astype(np.int64)[:, None] + _SNAP, 0, _SCAN_LAST)
+    # one key per (member, k), so that one sort orders and dedupes them all
+    span = np.int64(_SCAN_LAST + 1)
+    first = np.arange(m) * span  # each member's k = 0
+    keys = np.sort(np.concatenate([(owner[on_grid, None] * span + near).ravel(),
+                                   first, first + _SCAN_LAST]))
+    member, k = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], span)
+    return member, k, np.searchsorted(member, np.arange(m))
 
 
-def regime(p: FamilyParams) -> RegimeReport:
-    """Growth flags for a classical or discordant family member.
+def regime(p):
+    """Growth flags for classical or discordant family members.
 
-    Each flag is true exactly when the closed-form curve, sampled at
-    gamma0 t = k * 1e-4 for k = 0 .. 100000, exceeds its value at t = 0 by
-    more than 1e-9 at some k > 0.  Between consecutive branch switches and
-    turning points every curve is monotone in t, so its largest sample lies
-    next to one of them or at an end.  Only those samples are evaluated, with
-    the arithmetic of the full scan, so every flag equals the scan's.
+    Takes one FamilyParams and returns its RegimeReport, or a sequence of
+    them and returns their reports in order, handled in one pass (an empty
+    sequence gives []); a theta member raises ParamOutOfRange.  Each flag is
+    true exactly when the closed-form curve, sampled at gamma0 t = k * 1e-4
+    for k = 0 .. 100000, exceeds its value at t = 0 by more than 1e-9 at
+    some k > 0.  Between consecutive branch switches and turning points
+    every curve is monotone in t, so its largest sample lies next to one of
+    them or at an end.  Only those samples are evaluated, with the
+    arithmetic of the full scan, so every flag equals the scan's.  One
+    eigensolve covers the turning polynomials of all members and one
+    evaluation of each curve their candidate samples; each member's
+    largest sample comes from np.maximum.reduceat over its own run.
     """
-    if p.family not in ("classical", "discordant"):
+    single = isinstance(p, FamilyParams)
+    members = [p] if single else list(p)
+    if any(q.family not in ("classical", "discordant") for q in members):
         raise ParamOutOfRange("regime() applies to the classical and discordant families")
-    el = _x_elements(p)
-    k = _candidate_indices(_turning_polynomials(el, "A") + _turning_polynomials(el, "B"))
+    if not members:
+        return []
+    el = np.array([_x_elements(q) for q in members]).T
+    member, k, starts = _candidate_indices(_turning_polynomials(el))
+    el = el[:, member]
     gt = k * _SCAN_STEP  # bit for bit the scan's np.arange(0.0, 10.0 + 1e-4, 1e-4)[k]
     side_a = _coefficients(el, "A", gt)
-    return RegimeReport(
-        w=p.w,
-        s=p.s,
-        d2_increases_under_A=_grows(measures.d2_x_kernel(*side_a[:4])),
-        d1_increases_under_A=_grows(measures.d1_x_kernel(*side_a)),
-        d2_increases_under_B=_grows(_d2_values(el, "B", gt)),
-        t_zero=math.log(4.0 * p.w) if p.family == "discordant" and p.w > 0.25 else None,
-    )
+    curves = np.stack([measures.d2_x_kernel(*side_a[:4]), measures.d1_x_kernel(*side_a),
+                       _d2_values(el, "B", gt)])
+    # a run's maximum may be its k = 0 sample, which never exceeds itself plus the margin
+    grows = np.maximum.reduceat(curves, starts, axis=1) > curves[:, starts] + _GROWTH_MARGIN
+    reports = [
+        RegimeReport(
+            w=q.w,
+            s=q.s,
+            d2_increases_under_A=bool(d2_a),
+            d1_increases_under_A=bool(d1_a),
+            d2_increases_under_B=bool(d2_b),
+            t_zero=math.log(4.0 * q.w) if q.family == "discordant" and q.w > 0.25 else None,
+        )
+        for q, d2_a, d1_a, d2_b in zip(members, *grows)
+    ]
+    return reports[0] if single else reports
 
 
 def find_critical_w(kind: str, tol: float = 1e-4) -> float:

@@ -1,11 +1,13 @@
 """Quantum-correlation measures for two-qubit states.
 
 `measure_batch` is the one measure pipeline.  For a stack of states it
-takes D2 and the negativity of every X-pattern state (off-pattern entries
-exactly zero, coherences of any phase) in closed form, and those of the
-other states from one Bloch decomposition and one batched eigensolve each;
-D1 comes from the X-state kernel on the states that pass
-`states.to_x_state`'s test and from one `d1_exact` call on the rest.
+reads each state's diagonal, coherences and off-pattern entries once, and
+decides both routes from them.  It takes D2 and the negativity of every
+X-pattern state (off-pattern entries exactly zero, coherences of any
+phase) in closed form, and those of the other states from one Bloch
+decomposition and one batched eigensolve each; D1 comes from the X-state
+kernel on the states that pass `states.to_x_state`'s test and from one
+`d1_exact` call on the rest.
 `d2_closed` and `negativity` stay the general eigensolver forms, and
 `d1_exact` is the one-state case of its D1 route.
 
@@ -130,42 +132,52 @@ def _negativity(rhos: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.sum(np.abs(linalg.hermitian_eigenvalues(pt)), axis=-1) - 1.0)
 
 
-def _x_d2_negativity(a: np.ndarray):
-    """D2 and the negativity of X-pattern states (n, 4, 4), from their
-    populations and the moduli of their coherences (module docstring)."""
-    r11, r22, r33, r44 = np.diagonal(a, axis1=-2, axis2=-1).real.T
-    r14, r23 = np.abs(a[:, 0, 3]), np.abs(a[:, 1, 2])
-    d2 = d2_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23)[:4])
-    neg = np.zeros(len(a))
-    for p, q, c in ((r11, r44, r23), (r22, r33, r14)):
-        top = 0.5 * (p + q) + np.hypot(0.5 * (p - q), c)
-        # l- as det / l+ keeps its digits; l+ = 0 only where det = 0 too
-        neg -= np.minimum((p * q - c * c) / np.where(top == 0.0, 1.0, top), 0.0)
-    # neg starts at +0 and takes away only +0 or negative values: it never reads -0
-    return d2, 2.0 * neg
+def _x_negativity(diag: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Negativity of X-pattern states from their populations diag (4, n)
+    and the moduli mod (2, n) of their coherences r14, r23 (module
+    docstring)."""
+    # the two blocks side by side: [[r11, |r23|], [|r23|, r44]], [[r22, |r14|], [|r14|, r33]]
+    p, q, c = diag[:2], diag[:1:-1], mod[::-1]
+    top = 0.5 * (p + q) + np.hypot(0.5 * (p - q), c)
+    # l- as det / l+ keeps its digits; l+ = 0 only where det = 0 too
+    low = np.minimum((p * q - c * c) / np.where(top == 0.0, 1.0, top), 0.0)
+    # 0 - (+0 or a negative sum) never reads -0
+    return 2.0 * (0.0 - (low[0] + low[1]))
 
 
 def measure_batch(rhos):
     """d1, d2, negativity and the d1 route of every state in a stack (n, 4, 4).
 
-    One 4x4 state counts as n = 1.  The route reads "closed-x" where the
-    state passes `states.to_x_state`'s test (same tolerance, coherences
-    clamped at 0) and D1 comes from `d1_x_kernel`, and "exact" where D1
-    comes from one `d1_exact` call over all those rows.  D2 and the
-    negativity come in closed form on the rows whose off-pattern entries
-    are exactly zero, and from one Bloch decomposition and one batched
-    eigensolve each on the rest, which also feeds `d1_exact`.  Returns
-    arrays d1, d2, neg and route, of length n.
+    One 4x4 state counts as n = 1.  Each row's diagonal, coherences and
+    off-pattern entries are read once, and both routes are decided from
+    them.  D2 and the negativity come in closed form, from the coherences'
+    moduli, on the rows whose off-pattern entries are exactly zero.  The
+    route reads "closed-x", and D1 comes from `d1_x_kernel` on the
+    coherences' real parts clamped at 0, where the row passes the X test
+    of `states.x_fields`: off-pattern entries and the coherences'
+    imaginary parts at most `states.TOL` in modulus, and their real parts
+    at least -TOL.  Every other row reads "exact", and its D1 comes from
+    one `d1_exact` call over all those rows.  The rows left over get one
+    Bloch decomposition, which also feeds `d1_exact`, and one batched
+    eigensolve each for D2 and the negativity.  Returns arrays d1, d2, neg
+    and route, of length n.
     """
     a = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    is_x, f = states.x_fields(a)
-    on = ~np.any(a[:, ~states._X_PATTERN], axis=-1)  # exact zeros off the X pattern
-    d1, d2, neg = np.empty(len(a)), np.empty(len(a)), np.empty(len(a))
-    if is_x.any():
-        r11, r22, r33, _, r14, r23 = f[is_x].T
-        d1[is_x] = d1_x_kernel(*_x_kernel_args(r11, r22, r33, r14, r23))
-    if on.any():
-        d2[on], neg[on] = _x_d2_negativity(a[on])
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real.T  # r11, r22, r33, r44
+    stray, coh, bad = states._x_test(a)  # the tolerant test of states.x_fields
+    is_x = ~(stray.any(axis=(-2, -1)) | bad.any(axis=-1))
+    on = ~a[:, ~states._X_PATTERN].any(axis=-1)  # exact zeros off the X pattern
+    coh = coh.T  # r14, r23
+    d1, d2, neg = np.empty((3, len(a)))
+    if (is_x | on).any():
+        # the closed forms on every row, cheaper than picking rows out; the
+        # rows off their route are overwritten below.  D1 takes the clamped
+        # real parts of the coherences and D2 their moduli, in one pass over
+        # the kernel arguments: a1, a2 and B are (2, n), a3 and x (n,)
+        mod = np.abs(coh)
+        a1, a2, a3, x, b = _x_kernel_args(*diag[:3], *np.stack([np.maximum(coh.real, 0.0), mod], 1))
+        d1[:] = d1_x_kernel(a1[0], a2[0], a3, x, b[0])
+        d2[:], neg[:] = d2_x_kernel(a1[1], a2[1], a3, x), _x_negativity(diag, mod)
     rest = ~(is_x & on)  # the rows that need the Bloch form
     if rest.any():
         bd = states.bloch(a[rest])

@@ -100,6 +100,27 @@ def test_measure_non_x_state_exact(tmp_path, capsys):
     assert abs(float(d1) - 0.2101993252624578) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0 + 5e-11, 1.0 - 5e-11])
+def test_measure_renormalizes_the_trace(tmp_path, capsys, scale):
+    # validate admits a trace within 1e-10 of 1; measure then reads the state
+    # divided by its trace, so its closed forms agree with the eigensolver
+    # forms of that state
+    bell = states.from_bloch(np.zeros(3), np.zeros(3), np.diag([-0.8, 0.7, 0.6]))
+    x = states.from_x_fields([0.3, 0.2, 0.15, 0.35, 0.25, 0.15])
+    for rho in (x, bell):
+        f = tmp_path / "s.txt"
+        states.write_state_file(f, scale * rho)
+        m = states.validate(states.read_state_file(f))
+        assert 4e-11 < abs(m.trace().real - 1.0) < 6e-11
+        m = m / m.trace().real
+        code, out, _ = run_cli(capsys, "measure", str(f))
+        assert code == 0
+        _, d2, _, neg, _ = rows_of(out)[1][0]
+        assert abs(float(d2) - measures.d2_closed(m)) <= 1e-15
+        assert abs(float(neg) - measures.negativity(m)) <= 1e-15
+        assert measures.negativity(m) > 0.1  # both states are entangled
+
+
 def test_measure_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "measure", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -452,6 +473,21 @@ def test_sweep_fixed_s_skips_inadmissible_rows(capsys):
     assert len(rows) == 4
     assert "skipping" in err
     assert all(float(r[1]) == 0.2 for r in rows)
+
+
+def test_sweep_makes_one_regime_call(capsys, monkeypatch):
+    # every member the sweep keeps goes to one families.regime call
+    calls = []
+
+    def counted(p, _regime=families.regime):
+        calls.append(p)
+        return _regime(p)
+
+    monkeypatch.setattr(families, "regime", counted)
+    rows, err = sweep_rows(capsys, "--family", "classical", "--s", "0.2",
+                           "--wmin", "0.05", "--wmax", "0.45", "--wcount", "9")
+    assert len(calls) == 1 and len(calls[0]) == len(rows) == 7
+    assert err.count("warning: skipping") == 2
 
 
 def test_sweep_given_s_is_fixed(capsys):

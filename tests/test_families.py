@@ -519,6 +519,46 @@ def test_regime_allocates_no_scan():
     assert peak < 256 * 1024, peak
 
 
+def sweep_members(family, s, ws):
+    """The members a `sweep --s s` run keeps: those FamilyParams accepts."""
+    out = []
+    for w in ws:
+        try:
+            out.append(FamilyParams(family, w=float(w), s=s))
+        except ParamOutOfRange:
+            pass
+    return out
+
+
+def test_regime_sequence_equals_member_calls():
+    rng = np.random.default_rng(2701)
+    members = []
+    for fam in ("classical", "discordant"):
+        for u, v in rng.uniform(size=(800, 2)):
+            w = 0.005 + 0.49 * float(u)
+            members.append(FamilyParams(fam, w=w, s=(0.001 + 0.999 * float(v)) * s_max(w)))
+        grid = np.linspace(0.01, 0.49, 100)
+        members += [FamilyParams(fam, w=float(w), s=s_max(float(w))) for w in grid]
+        for s in (0.1, 0.2, 0.24):
+            kept = sweep_members(fam, s, grid)
+            assert 0 < len(kept) < len(grid)  # the sweep skips some members
+            members += kept
+    assert len(members) >= 2000
+    reports = regime(members)
+    assert reports == [regime(p) for p in members]
+    seen = {(k, flag) for r in reports for k, flag in
+            enumerate((r.d2_increases_under_A, r.d1_increases_under_A, r.d2_increases_under_B))}
+    assert len(seen) == 6  # every flag reads both true and false
+
+
+def test_regime_sequence_edges():
+    assert regime([]) == []
+    p = discordant(0.4, 0.2)
+    assert regime((p,)) == [regime(p)]
+    with pytest.raises(ParamOutOfRange, match="classical and discordant"):
+        regime([p, FamilyParams("theta", theta=0.3)])
+
+
 def test_find_critical_w_validation():
     with pytest.raises(ValueError):
         find_critical_w("d2", 0.0)

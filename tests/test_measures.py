@@ -391,6 +391,59 @@ def test_measure_batch_x_rows_make_no_eigensolves(monkeypatch):
     assert calls == []
 
 
+def two_test_rule(stack):
+    """measure_batch as two separate X tests: the tolerant one of
+    `states.x_fields` routes d1, and exact zeros off the X pattern route d2
+    and the negativity, each block of the partial transpose taken in turn."""
+    a = np.asarray(stack, dtype=complex)
+    is_x, f = states.x_fields(a)
+    on = ~np.any(a[:, ~states._X_PATTERN], axis=-1)
+    d1, d2, neg = np.empty(len(a)), np.empty(len(a)), np.empty(len(a))
+    r11, r22, r33, _, r14, r23 = f[is_x].T
+    d1[is_x] = measures.d1_x_kernel(*measures._x_kernel_args(r11, r22, r33, r14, r23))
+    r11, r22, r33, r44 = np.diagonal(a[on], axis1=-2, axis2=-1).real.T
+    r14, r23 = np.abs(a[on, 0, 3]), np.abs(a[on, 1, 2])
+    d2[on] = measures.d2_x_kernel(*measures._x_kernel_args(r11, r22, r33, r14, r23)[:4])
+    neg_on = np.zeros(np.count_nonzero(on))
+    for p, q, c in ((r11, r44, r23), (r22, r33, r14)):
+        top = 0.5 * (p + q) + np.hypot(0.5 * (p - q), c)
+        neg_on -= np.minimum((p * q - c * c) / np.where(top == 0.0, 1.0, top), 0.0)
+    neg[on] = 2.0 * neg_on
+    bd = states.bloch(a)
+    d2[~on] = measures._d2(bd.x_vec[~on], bd.corr[~on])
+    neg[~on] = measures._negativity(a[~on])
+    d1[~is_x] = measures._d1_exact(bd.x_vec[~is_x], bd.corr[~is_x])
+    return d1, d2, neg, np.where(is_x, "closed-x", "exact")
+
+
+def test_measure_batch_equals_the_two_test_rule():
+    # one read of each row decides both routes, with the same bits and routes
+    # as the two separate tests, on rows at and around the X test's limits
+    rng = np.random.default_rng(2707)
+    stack = [*evolved_x_stack(), *phased_x_stack(40)]
+    for seed in range(40):
+        base = sample_random_state(seed, "x-shaped")
+        for j, k, v in ((0, 1, 1e-11), (1, 3, -1e-11j), (0, 2, 2e-10), (0, 3, 1e-11j),
+                        (1, 2, -1e-11j), (0, 3, 2e-10j)):
+            m = base.copy()
+            m[j, k] += v
+            m[k, j] = np.conj(m[j, k])
+            stack.append(m)
+        for j, k in ((0, 3), (1, 2)):  # a coherence at -1e-11 and at -2e-10
+            for v in (-1e-11, -2e-10):
+                m = base.copy()
+                m[j, k] = m[k, j] = v
+                stack.append(m)
+        stack.append(sample_random_state(seed, "full-rank"))
+        stack.append(sample_random_state(seed, "bell-diagonal"))
+    stack = np.array(stack)[rng.permutation(len(stack))]
+    got, want = measure_batch(stack), two_test_rule(stack)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    routes = set(zip(got[3], ~np.any(stack[:, ~states._X_PATTERN], axis=-1)))
+    assert routes == {("closed-x", True), ("closed-x", False), ("exact", True), ("exact", False)}
+
+
 def exact_x_d2(rho):
     """Half the smallest pairwise sum of (a1^2, a2^2, a3^2 + x^2), exactly, from
     the entries of an X state with real coherences."""
