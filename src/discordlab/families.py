@@ -30,15 +30,14 @@ the X class is preserved and the coefficient functions evolve as
 They feed the X-state kernels of `measures`: D2 from `d2_x_kernel`, and
 D1, with B = 16 r14 r23 e^{-tau}, from `d1_x_kernel`.
 
-"Increases" for the regime report is operationalized as: the curve,
-sampled at tau = k 1e-4 for k = 1 .. 100000, exceeds its tau = 0 value by
-more than 1e-9 at some sample.  Each curve is monotone in tau between its
-branch switches and turning points, which are roots of polynomials in
-u = e^{-tau} of degree <= 4, so `regime` evaluates only the samples next to
-those roots and at both ends, and returns the flags of the full scan.  It
-takes a whole sweep in one pass: the polynomials of every member form one
-stack, one batched eigensolve finds all their roots, and the three curves
-are evaluated once over the candidate samples of all members.
+"Increases" for the regime report means: the curve exceeds its tau = 0
+value by more than 1e-9 somewhere on 0 < tau <= 10.  Each curve is monotone
+in tau between its branch switches and turning points, which are roots of
+polynomials in u = e^{-tau} of degree <= 4, so its maximum on [0, 10] lies
+at one of those roots or at an end, and `regime` evaluates the curve there
+only.  It takes a whole sweep in one pass: the polynomials of every member
+form one stack, one batched eigensolve finds all their roots, and the three
+curves are evaluated once at the roots and ends of all members.
 
 The critical couplings are the lower roots in (0, 1/4) of two threshold
 polynomials, above which the measure of (w, s_max(w)) starts to grow
@@ -51,7 +50,7 @@ D2 grows once 32 w^2 - 16 w + 1 < 0, and D1^2 = 1/G(u) with
 For w < 1/4 both terms of G are convex in u, so D1 rises somewhere on
 tau > 0 exactly when G'(1) > 0, that is when 64 w^3 - 16 w^2 - 12 w + 1 < 0.
 The flag of `regime` reads true only a little above that onset
-(from w = 0.0777831 on), because it asks for a rise of more than 1e-9.
+(from w = 0.0777828 on), because it asks for a rise of more than 1e-9.
 """
 
 from __future__ import annotations
@@ -102,12 +101,8 @@ W_CRITICAL_D1 = float(_W_D1_TRIG - np.polyval(_THRESHOLD_D1, _W_D1_TRIG)
 
 _CRITICAL = {"d1": (W_CRITICAL_D1, _THRESHOLD_D1), "d2": (W_CRITICAL_D2, _THRESHOLD_D2)}
 
-# regime's grid: gamma0 t = k * _SCAN_STEP for k = 0 .. _SCAN_LAST, on [0, 10]
-_SCAN_STEP = 1e-4
-_SCAN_LAST = 100_000
-# grid cells read on either side of each candidate time; a double root near
-# gamma0 t = 10 comes out about 2 cells off
-_SNAP = np.arange(-5, 6)
+# regime's horizon in gamma0 t
+_HORIZON = 10.0
 _GROWTH_MARGIN = 1e-9
 
 
@@ -164,7 +159,7 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Growth flags, on regime's 1e-4 grid, for a two-parameter family member.
+    """Growth flags over 0 < gamma0 t <= 10 for a two-parameter family member.
 
     t_zero = ln(4w), in units of gamma0 t, is the interior zero of the side-A
     trace-norm curve, present only for the discordant family with w > 1/4.
@@ -317,22 +312,19 @@ def _turning_polynomials(el) -> np.ndarray:
     return np.concatenate([np.stack(d2_polys, axis=-2), d1_polys], axis=-2).reshape(m, 22, 5)
 
 
-def _candidate_indices(polys: np.ndarray):
-    """Indices k of the grid gamma0 t = k * _SCAN_STEP to evaluate for each
-    of the m members whose turning polynomials polys (m, j, 5) holds: both
-    ends, and _SNAP around every root u that lies on the grid's span.
+def _candidate_times(polys: np.ndarray):
+    """(member, gamma0 t) of every root u in (e^{-10}, 1) of the turning
+    polynomials polys (m, j, 5) of m members, that is every branch switch
+    and turning point strictly inside regime's horizon.
 
-    Returns (member, k, starts): the member and grid index of every
-    candidate, sorted by member and then by k, and the position of each
-    member's first candidate, its k = 0.  The roots come from one batched
-    eigensolve of 4x4 companion matrices; a polynomial of lower degree is
-    multiplied by a power of u first, which only adds roots at u = 0.  A
-    complex root gives its real part, so a double root split by rounding
-    is not lost; extra candidates cost nothing but time.
+    The roots come from one batched eigensolve of 4x4 companion matrices; a
+    polynomial of lower degree is multiplied by a power of u first, which
+    only adds roots at u = 0.  A complex root gives its real part, so a
+    double root split by rounding is not lost; every time returned is a
+    point of the curve, and an extra one costs nothing but time.
     """
-    m = len(polys)
     p = polys.reshape(-1, 5)
-    owner = np.repeat(np.arange(m), polys.shape[1])
+    owner = np.repeat(np.arange(len(polys)), polys.shape[1])
     mag = np.abs(p)
     # a leading coefficient below 1e-300 of the largest counts as zero, which
     # keeps the companion matrix finite; a row of zeros has no roots
@@ -345,17 +337,8 @@ def _candidate_indices(polys: np.ndarray):
     companion[:, 0] = -p[:, 3::-1] / p[:, 4:]
     companion[:, 1:, :3] = np.eye(3)
     u = np.linalg.eigvals(companion).real.ravel()
-    pos = u > 0.0
-    owner, k = np.repeat(owner, 4)[pos], np.rint(-np.log(u[pos]) / _SCAN_STEP)
-    on_grid = (k >= 0.0) & (k <= _SCAN_LAST)
-    near = np.clip(k[on_grid].astype(np.int64)[:, None] + _SNAP, 0, _SCAN_LAST)
-    # one key per (member, k), so that one sort orders and dedupes them all
-    span = np.int64(_SCAN_LAST + 1)
-    first = np.arange(m) * span  # each member's k = 0
-    keys = np.sort(np.concatenate([(owner[on_grid, None] * span + near).ravel(),
-                                   first, first + _SCAN_LAST]))
-    member, k = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], span)
-    return member, k, np.searchsorted(member, np.arange(m))
+    inside = (u > math.exp(-_HORIZON)) & (u < 1.0)
+    return np.repeat(owner, 4)[inside], -np.log(u[inside])
 
 
 def regime(p):
@@ -364,15 +347,13 @@ def regime(p):
     Takes one FamilyParams and returns its RegimeReport, or a sequence of
     them and returns their reports in order, handled in one pass (an empty
     sequence gives []); a theta member raises ParamOutOfRange.  Each flag is
-    true exactly when the closed-form curve, sampled at gamma0 t = k * 1e-4
-    for k = 0 .. 100000, exceeds its value at t = 0 by more than 1e-9 at
-    some k > 0.  Between consecutive branch switches and turning points
-    every curve is monotone in t, so its largest sample lies next to one of
-    them or at an end.  Only those samples are evaluated, with the
-    arithmetic of the full scan, so every flag equals the scan's.  One
-    eigensolve covers the turning polynomials of all members and one
-    evaluation of each curve their candidate samples; each member's
-    largest sample comes from np.maximum.reduceat over its own run.
+    true exactly when the closed-form curve exceeds its value at t = 0 by
+    more than 1e-9 somewhere on 0 < gamma0 t <= 10.  Between consecutive
+    branch switches and turning points every curve is monotone in t, so its
+    maximum on [0, 10] lies at one of them or at an end; the curves are
+    evaluated at those times only.  One eigensolve covers the turning
+    polynomials of all members and one evaluation of each curve all their
+    times; each member's maximum comes from np.maximum.at.
     """
     single = isinstance(p, FamilyParams)
     members = [p] if single else list(p)
@@ -381,14 +362,19 @@ def regime(p):
     if not members:
         return []
     el = np.array([_x_elements(q) for q in members]).T
-    member, k, starts = _candidate_indices(_turning_polynomials(el))
+    member, gt = _candidate_times(_turning_polynomials(el))
+    # each member's t = 0 first, then its horizon, then its roots
+    m = len(members)
+    member = np.concatenate([np.arange(m), np.arange(m), member])
+    gt = np.concatenate([np.zeros(m), np.full(m, _HORIZON), gt])
     el = el[:, member]
-    gt = k * _SCAN_STEP  # bit for bit the scan's np.arange(0.0, 10.0 + 1e-4, 1e-4)[k]
     side_a = _coefficients(el, "A", gt)
     curves = np.stack([measures.d2_x_kernel(*side_a[:4]), measures.d1_x_kernel(*side_a),
                        _d2_values(el, "B", gt)])
-    # a run's maximum may be its k = 0 sample, which never exceeds itself plus the margin
-    grows = np.maximum.reduceat(curves, starts, axis=1) > curves[:, starts] + _GROWTH_MARGIN
+    start = curves[:, :m]
+    peak = start.copy()
+    np.maximum.at(peak, (slice(None), member), curves)
+    grows = peak > start + _GROWTH_MARGIN
     reports = [
         RegimeReport(
             w=q.w,

@@ -109,7 +109,7 @@ __all__ = [
     "d1_oracle",
 ]
 
-_PAULI_STACK = np.stack(PAULIS)  # (3, 2, 2)
+_SIGMA_A = linalg.kron(np.stack(PAULIS), I2)  # sigma_k x I, (3, 4, 4)
 _TINY = np.finfo(float).tiny
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
 
@@ -297,12 +297,10 @@ def _fibonacci_axes(n: int) -> np.ndarray:
 
 
 def _measured_batch(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """sum_pm (P_pm x I) rho (P_pm x I) for every axis in one shot; axes (k,3) -> (k,4,4)."""
-    nsig = np.einsum("ka,aij->kij", axes, _PAULI_STACK)
-    pp = 0.5 * (I2[None, :, :] + nsig)
-    pm = 0.5 * (I2[None, :, :] - nsig)
-    pp4, pm4 = linalg.kron(pp, I2), linalg.kron(pm, I2)
-    return pp4 @ rho @ pp4 + pm4 @ rho @ pm4
+    """sum_pm (P_pm x I) rho (P_pm x I) = (rho + N rho N) / 2, N = n.sigma x I,
+    for every axis n in one shot; axes (k,3) -> (k,4,4)."""
+    n = np.einsum("ka,aij->kij", axes, _SIGMA_A)
+    return 0.5 * (rho + n @ rho @ n)
 
 
 def _d2_objective(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:

@@ -451,15 +451,40 @@ def test_regime_d1_flag_brackets_w_critical_d1():
         assert regime(discordant(w, s_max(w))).d1_increases_under_A is grows
 
 
-def scan_flags(p):
-    """The flags of a full scan: every grid point gamma0 t = k 1e-4 on
-    [0, 10] compared with the first one plus 1e-9, as regime's contract reads."""
+CURVES = (("A", families._d2_values), ("A", families._d1_values), ("B", families._d2_values))
+
+
+def continuum_peaks(p):
+    """(rise, gamma0 t) of the largest value of each of regime's three curves
+    on [0, 10], the rise taken over its value at t = 0, found without
+    regime's root finder: the scan gamma0 t = k 1e-4, then a bounded search
+    on the two cells around every sampled local maximum, the first and the
+    last sample included."""
+    from scipy.optimize import minimize_scalar
+
     gt = np.arange(0.0, 10.0 + 1e-4, 1e-4)
     el = families._x_elements(p)
-    side_a = families._coefficients(el, "A", gt)
-    curves = (measures.d2_x_kernel(*side_a[:4]), measures.d1_x_kernel(*side_a),
-              families._d2_values(el, "B", gt))
-    return tuple(bool(np.any(v[1:] > v[0] + 1e-9)) for v in curves)
+    out = []
+    for side, values in CURVES:
+        def drop(t, side=side, values=values):
+            return -float(values(el, side, np.array([t]))[0])
+
+        v = values(el, side, gt)
+        padded = np.concatenate([[-np.inf], v, [-np.inf]])
+        best = (float(v.max()), float(gt[np.argmax(v)]))
+        for k in np.flatnonzero((v > padded[:-2]) & (v >= padded[2:])):
+            bounds = (gt[max(k - 1, 0)], gt[min(k + 1, gt.size - 1)])
+            res = minimize_scalar(drop, bounds=bounds, method="bounded",
+                                  options={"xatol": 1e-12})
+            best = max(best, (-float(res.fun), float(res.x)))
+        out.append((best[0] - float(v[0]), best[1]))
+    return out
+
+
+def continuum_flags(p):
+    """The flags as regime's contract reads: the curve exceeds its t = 0
+    value by more than 1e-9 somewhere on (0, 10]."""
+    return tuple(rise > 1e-9 for rise, _ in continuum_peaks(p))
 
 
 def test_regime_flags_equal_the_fine_scan():
@@ -476,9 +501,39 @@ def test_regime_flags_equal_the_fine_scan():
     for p in cases:
         r = regime(p)
         flags = (r.d2_increases_under_A, r.d1_increases_under_A, r.d2_increases_under_B)
-        assert flags == scan_flags(p), p
+        assert flags == continuum_flags(p), p
         seen.update(enumerate(flags))
     assert len(seen) == 6  # every flag reads both true and false
+
+
+def test_regime_sees_a_d1_peak_inside_the_first_grid_cell():
+    """Just above the d1 onset at s_max, d1 peaks before gamma0 t = 1e-4 and
+    rises only a little more than the 1e-9 margin, so no sample k 1e-4
+    sees the rise; the flag reads the curve."""
+    for dw in (5.9e-6, 6.0e-6, 6.1e-6):
+        w = W_CRITICAL_D1 + dw
+        p = discordant(w, s_max(w))
+        rise, t_peak = continuum_peaks(p)[1]
+        assert t_peak < 1e-4 and 1e-9 < rise <= 1.1e-9, (dw, rise, t_peak)
+        assert regime(p).d1_increases_under_A is True, dw
+    w = W_CRITICAL_D1 + 5e-6
+    assert regime(discordant(w, s_max(w))).d1_increases_under_A is False
+
+
+def test_regime_d2_flag_starts_at_w_critical_d2():
+    """At s_max just above W_CRITICAL_D2 the side-A d2 curve rises until its
+    branches cross, at a time and by an amount both proportional to
+    w - W_CRITICAL_D2.  Up to about W_CRITICAL_D2 + 4.4e-6 no sample
+    k 1e-4 reads the rise, and it exceeds the margin from 1e-9 above the
+    threshold on."""
+    for dw in (1e-9, 1e-6, 4e-6):
+        w = W_CRITICAL_D2 + dw
+        p = discordant(w, s_max(w))
+        rise, t_peak = continuum_peaks(p)[0]
+        assert t_peak < 1e-4 and rise > 1e-9, (dw, rise, t_peak)
+        assert regime(p).d2_increases_under_A is True, dw
+    w = W_CRITICAL_D2 - 1e-9
+    assert regime(discordant(w, s_max(w))).d2_increases_under_A is False
 
 
 def test_regime_flags_follow_the_closed_form_boundaries():
