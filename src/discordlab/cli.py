@@ -23,11 +23,14 @@ series of `families`, `sweep` hands every member it keeps to one
 couplings.
 
 All numeric output uses 17 significant digits ("%.17g") and line-feed
-endings, so identical invocations produce byte-identical files; each CSV
-table is formatted by one % operation, a row template repeated once per
-row (`write_rows`).  Exit codes: 0 on
-success, 2 on parse errors (state files, config files, usage), 3 on state
-validation errors, 4 on domain or parameter errors.
+endings, so identical invocations produce byte-identical files.
+`write_rows` formats a CSV table in one of two ways with the same bytes:
+a table with a string column, or with fewer than `VECTOR_MIN_FIELDS`
+fields, by one % operation (a row template repeated once per row); a
+larger all-float table by `format_floats`, which writes every field in
+numpy and the table as one byte buffer.  Exit codes: 0 on success, 2 on
+parse errors (state files, config files, usage), 3 on state validation
+errors, 4 on domain or parameter errors.
 """
 
 import argparse
@@ -149,18 +152,130 @@ def write_text(out_path, text):
         os.close(fd)
 
 
+# decimal exponents X = -4..16 of the fixed notation of %.17g: _POW10[X + 4]
+# is 10^X (the double nearest it for X < 0) and _POW10[20 - X] is 10^(16 - X),
+# exact up to 10^20 = 2^20 5^20
+_POW10 = 10.0 ** np.arange(-4, 21)
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# the four ASCII digits of 0..9999 as one uint32 each: every 4-character
+# string over "0".."9", in order
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                indexing="ij"), axis=-1).view(np.uint32).ravel()
+_SLOT = 25  # bytes per field: "-1.2345678901234567e-308" and its separator
+# below about 1250 fields the fixed cost of format_floats outweighs its
+# per-field gain over %, timed among the benchmark's x-family operations
+VECTOR_MIN_FIELDS = 1500
+
+
+def format_floats(table) -> bytes:
+    """The rows of a 2-D float table as CSV lines, each field as "%.17g" writes it.
+
+    A value v in [1e-4, 1e17) prints in fixed notation with 17 significant
+    digits: the decimal exponent X in -4..16 and N = v 10^(16 - X) rounded
+    half to even, an integer in [1e16, 1e17).  X is exact: it counts the
+    doubles nearest 10^-4 .. 10^16 at or below v, no double lies between a
+    power of ten and its nearest double, and none rounds up to the next
+    power at 17 digits.  10^(16 - X) <= 1e20 is an exact double, so Dekker's
+    TwoProduct gives v 10^(16 - X) = p + e exactly; p >= 2^53 is an even
+    integer, so N = p + rint(e) rounds half to even as % does.  The digits
+    are laid out with a few slice copies per exponent and trailing zeros
+    cut, with the point when no fraction is left.  0.0 writes "0"; -0.0,
+    negatives, nan, inf and the rest go through % one at a time.
+    """
+    table = np.asarray(table, dtype=float)
+    v = table.ravel()
+    n = v.size
+    fast = (v >= 1e-4) & (v < 1e17)  # false for nan
+    v0 = np.where(fast, v, 0.0)
+    x = np.searchsorted(_POW10[:21], v0, side="right").astype(np.int8) - 5
+    x[~fast] = 0  # with v0 = 0 this writes "0"
+    # TwoProduct v0 * 10^(16 - X) = p + e, summed in Dekker's order; working
+    # in place keeps the heap small, which spares page faults
+    k = 20 - x
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    p = v0 * _POW10[k]
+    ah = v0 * _SPLIT
+    al = ah - v0
+    ah -= al
+    np.subtract(v0, ah, out=al)
+    e = ah * bh
+    e -= p
+    ah *= bl
+    bh *= al
+    bl *= al
+    e += ah
+    e += bh
+    e += bl
+    del v0, ah, al, bh, bl
+    big = p.astype(np.int64)
+    big += np.rint(e, out=e).astype(np.int64)
+    del p, e
+    hi = (big // 10**8).astype(np.int32)
+    lo = (big % 10**8).astype(np.int32)
+    del big
+    groups = np.empty((n, 5), np.int32)  # N as 0..9 and four groups of 4 digits
+    groups[:, 0] = hi // 10**8
+    groups[:, 1] = hi // 10**4 % 10**4
+    groups[:, 2] = hi % 10**4
+    groups[:, 3] = lo // 10**4
+    groups[:, 4] = lo % 10**4
+    digits = _DIGITS4[groups].view(np.uint8)  # "000" then the 17 digits of N
+    del hi, lo, groups
+    digits[:, 2] = ord("1")  # a stop, so that N = 0 has no non-zero digit
+    last = 16 - np.argmax(digits[:, :1:-1] != ord("0"), axis=1)  # -1 for N = 0
+    length = np.where(x >= 0, np.where(last > x, last + 2, x + 1), last + 2 - x)
+
+    # one slice copy per exponent, over the fields sorted by exponent
+    order = np.argsort(x, kind="stable")
+    dig = digits.view("V20").ravel()[order].view(np.uint8).reshape(n, 20)[:, 3:]
+    del digits
+    ends = np.cumsum(np.bincount(x + 4, minlength=21)).tolist()
+    text = np.empty((n, _SLOT), np.uint8)
+    for ex, start, end in zip(range(-4, 17), [0] + ends, ends):
+        if start == end:
+            continue
+        rows, d = text[start:end], dig[start:end]
+        if ex >= 0:  # X + 1 integer digits, the point, the rest
+            rows[:, :ex + 1] = d[:, :ex + 1]
+            rows[:, ex + 1] = ord(".")
+            rows[:, ex + 2:18] = d[:, ex + 1:]
+        else:  # "0." and -X - 1 zeros before the digits
+            rows[:, :1 - ex] = ord("0")
+            rows[:, 1] = ord(".")
+            rows[:, 1 - ex:18 - ex] = d
+    out = np.empty_like(text)
+    out.view(f"V{_SLOT}").ravel()[order] = text.view(f"V{_SLOT}").ravel()
+    del dig, text
+
+    for i in np.flatnonzero(~fast & (v.view(np.int64) != 0)):  # all but 0.0
+        field = b"%.17g" % v[i]
+        out[i, :len(field)] = np.frombuffer(field, np.uint8)
+        length[i] = len(field)
+    sep = np.full(table.shape, ord(","), np.uint8)
+    sep[:, -1] = ord("\n")
+    out.ravel()[np.arange(0, n * _SLOT, _SLOT) + length] = sep.ravel()
+    return out[np.arange(_SLOT) <= length[:, None]].tobytes()
+
+
 def write_rows(out_path, header, *columns):
     """One header line plus a CSV row per entry of the equal-length columns,
     through `write_text`.
 
     String columns are written as they are and numeric ones as `fmt` would
-    write them ("%.17g"), the whole table in one % operation: one row
-    template, repeated once per row, applied to the values row by row.
+    write them ("%.17g").  A table of at least `VECTOR_MIN_FIELDS` fields,
+    all float, goes through `format_floats`; any other table through one %
+    operation: one row template, repeated once per row, applied to the
+    values row by row.  Both write the same bytes.
     """
     cols = [np.asarray(c) for c in columns]
-    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in cols) + "\n"
-    values = np.array(cols, dtype=object).T.ravel().tolist()
-    write_text(out_path, header + "\n" + (row * len(cols[0])) % tuple(values))
+    if len(cols) * len(cols[0]) >= VECTOR_MIN_FIELDS and all(c.dtype.kind == "f" for c in cols):
+        body = format_floats(np.column_stack(cols)).decode("ascii")
+    else:
+        row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in cols) + "\n"
+        body = (row * len(cols[0])) % tuple(np.array(cols, dtype=object).T.ravel().tolist())
+    write_text(out_path, header + "\n" + body)
 
 
 def _read_state(path) -> np.ndarray:

@@ -84,8 +84,11 @@ undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
 
 Both oracles scan a Fibonacci lattice of 2000 measurement axes and refine
 the best grid point with at most 200 Nelder-Mead iterations, which keeps
-them independent of every closed form here.  scipy, which supplies the
-simplex, is imported on the first refinement only.
+them independent of every closed form here.  The d1 objective can have a
+second basin, so d1_oracle also refines from the best axis outside a 20
+degree cap around the first start and its antipode, and keeps the lower
+value.  scipy, which supplies the simplex, is imported on the first
+refinement only.
 """
 
 from __future__ import annotations
@@ -111,6 +114,7 @@ __all__ = [
 
 _SIGMA_A = linalg.kron(np.stack(PAULIS), I2)  # sigma_k x I, (3, 4, 4)
 _TINY = np.finfo(float).tiny
+_CAP_COS = np.cos(np.radians(20.0))  # the d1 oracle's second start lies outside this cap
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
 
 
@@ -327,7 +331,7 @@ def _axis_from_angles(tp: np.ndarray) -> np.ndarray:
     return np.array([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
 
 
-def _sphere_minimize(objective, rho):
+def _sphere_minimize(objective, rho, second_start=False):
     rho = np.asarray(rho, dtype=complex)
     axes = _fibonacci_axes(2000)
     vals = objective(rho, axes)
@@ -336,18 +340,23 @@ def _sphere_minimize(objective, rho):
     # deterministic tie-break: lexicographically smallest candidate axis
     order = np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0]))
     best_axis = cand[order[0]]
-    t0 = np.array(
-        [np.arccos(np.clip(best_axis[2], -1.0, 1.0)), np.arctan2(best_axis[1], best_axis[0])]
-    )
+    starts = [best_axis]
+    if second_start:
+        # the objective is even in n, so the runner-up axis mostly sits by the
+        # first start's antipode: take the best one outside a cap around both
+        outside = np.abs(axes @ best_axis) < _CAP_COS
+        starts.append(axes[outside][np.argmin(vals[outside])])
 
     def fun(tp):
         return float(objective(rho, _axis_from_angles(tp)[None, :])[0])
 
-    res = minimize(fun, t0, method="Nelder-Mead",
-                   options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
-    if res.fun < vmin:
-        vmin = float(res.fun)
-        best_axis = _axis_from_angles(res.x)
+    for start in starts:
+        t0 = np.array([np.arccos(np.clip(start[2], -1.0, 1.0)), np.arctan2(start[1], start[0])])
+        res = minimize(fun, t0, method="Nelder-Mead",
+                       options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
+        if res.fun < vmin:
+            vmin = float(res.fun)
+            best_axis = _axis_from_angles(res.x)
     best_axis = best_axis / np.sqrt(best_axis @ best_axis)
     return max(vmin, 0.0), best_axis
 
@@ -359,7 +368,7 @@ def d2_oracle(rho):
 
 def d1_oracle(rho):
     """Brute-force trace-norm discord: (value, minimizing axis)."""
-    return _sphere_minimize(_d1_objective, rho)
+    return _sphere_minimize(_d1_objective, rho, second_start=True)
 
 
 # ---------------------------------------------------------------------------

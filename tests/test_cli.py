@@ -512,10 +512,39 @@ def test_write_rows_matches_per_field_format(capsys):
     want = "".join(f"{format(u, '.17g')},{w},{format(v, '.17g')}\n"
                    for u, w, v in zip(nums, words, nums[::-1]))
     assert capsys.readouterr().out == "a,b,c\n" + want
+    # an all-float table of VECTOR_MIN_FIELDS or more goes through format_floats:
+    # every power of ten of its fixed-notation range with the doubles either
+    # side, both ends of that range, the values written by % one at a time,
+    # and random bit patterns in [1e-4, 1e17)
+    powers = 10.0 ** np.arange(-4, 17)
+    special = [1e17, np.nextafter(1e17, 0.0), 1e-4, np.nextafter(1e-4, 0.0), 0.0, -0.0,
+               5e-324, math.nan, math.inf, -math.inf, -1.5, -1e-5, -0.25, -3e20, 1e300]
+    lo, hi = np.array([1e-4, 1e17]).view(np.int64)
+    drawn = np.random.default_rng(29).integers(lo, hi, 3000).view(np.float64)
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             special, drawn])
+    values = values[:len(values) // 3 * 3].reshape(3, -1)
+    assert values.size >= cli.VECTOR_MIN_FIELDS
+    cli.write_rows(None, "a,b,c", *values)
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in values.T)
+    assert capsys.readouterr().out == "a,b,c\n" + want
     # every row skipped: the header alone
     code, out, err = run_cli(capsys, "sweep", "--s", "0.3", "--wcount", "3")
     assert code == 0 and out == "w,s,d2_inc_A,d1_inc_A,d2_inc_B,t_zero\n"
     assert err.count("skipping") == 3
+
+
+@pytest.mark.parametrize("argv", [["figure", "1"], ["figure", "5"],
+                                  ["evolve", "--family", "discordant", "--w", "0.4", "--s", "0.2",
+                                   "--side", "both"]])
+def test_large_tables_print_the_bytes_of_the_percent_path(argv, tmp_path, monkeypatch):
+    # 100001 rows take format_floats; figure 5 carries its exact zero of d1
+    # and every table starts at 0, so the "0" and tiny-value branches are hit
+    argv = argv + ["--points", "100001", "--out"]
+    assert main(argv + [str(tmp_path / "vector.csv")]) == 0
+    monkeypatch.setattr(cli, "VECTOR_MIN_FIELDS", math.inf)
+    assert main(argv + [str(tmp_path / "percent.csv")]) == 0
+    assert (tmp_path / "vector.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
 
 
 def test_gamma0_only_rescales_time(tmp_path, capsys):

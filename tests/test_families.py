@@ -334,12 +334,16 @@ def test_t_zero_presence_and_scaling():
 
 
 def test_regime_flags_survive_coarser_rescan():
+    # a rise seen on the 1e-3 scan is a rise of the curve, so it implies the
+    # flag; the converse fails where the curve peaks between samples, as at
+    # W_CRITICAL_D2 + 1e-6 on s_max, which peaks before gamma0 t = 1e-4
     cases = [
         discordant(0.076, 0.179),
         discordant(0.2, 0.2),
         discordant(0.4, 0.2),
         classical(0.25, 0.25),
         discordant(0.35, s_max(0.35)),
+        discordant(W_CRITICAL_D2 + 1e-6, s_max(W_CRITICAL_D2 + 1e-6)),
     ]
     for p in cases:
         r = regime(p)
@@ -348,9 +352,11 @@ def test_regime_flags_survive_coarser_rescan():
         def grows(vals):
             return bool(np.any(vals[1:] > vals[0] + 1e-9))
 
-        assert grows(families._d2_values(el, "A", GT_SCAN)) == r.d2_increases_under_A
-        assert grows(families._d1_values(el, "A", GT_SCAN)) == r.d1_increases_under_A
-        assert grows(families._d2_values(el, "B", GT_SCAN)) == r.d2_increases_under_B
+        assert r.d2_increases_under_A or not grows(families._d2_values(el, "A", GT_SCAN))
+        assert r.d1_increases_under_A or not grows(families._d1_values(el, "A", GT_SCAN))
+        assert r.d2_increases_under_B or not grows(families._d2_values(el, "B", GT_SCAN))
+    # the last member: the flag reads true where the coarse scan sees no rise
+    assert r.d2_increases_under_A and not grows(families._d2_values(el, "A", GT_SCAN))
 
 
 def test_d1_dip_then_overshoot_counts_as_growth():
