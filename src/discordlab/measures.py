@@ -116,6 +116,9 @@ _SIGMA_A = linalg.kron(np.stack(PAULIS), I2)  # sigma_k x I, (3, 4, 4)
 _TINY = np.finfo(float).tiny
 _CAP_COS = np.cos(np.radians(20.0))  # the d1 oracle's second start lies outside this cap
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
+# flat row-major indices of r14, r23 and the eight entries off the X pattern,
+# the ten entries that decide both routes of measure_batch
+_READ = np.concatenate([[3, 6], np.flatnonzero(~states._X_PATTERN)])
 
 
 def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -167,18 +170,23 @@ def measure_batch(rhos):
     and route, of length n.
     """
     a = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    diag = np.diagonal(a, axis1=-2, axis2=-1).real.T  # r11, r22, r33, r44
-    stray, coh, bad = states._x_test(a)  # the tolerant test of states.x_fields
-    is_x = ~(stray.any(axis=(-2, -1)) | bad.any(axis=-1))
-    on = ~a[:, ~states._X_PATTERN].any(axis=-1)  # exact zeros off the X pattern
-    coh = coh.T  # r14, r23
+    flat = a.reshape(-1, 16)
+    diag = flat[:, ::5].real.T  # r11, r22, r33, r44
+    read = flat[:, _READ]  # r14, r23 and the eight off-pattern entries
+    size = np.abs(read)
+    on = ~size[:, 2:].any(axis=1)  # exact zeros off the X pattern
+    # the tolerant test of states.x_fields: strays, the coherences' imaginary
+    # parts and their negative real parts at most TOL in size (fmax drops a
+    # nan, as the comparison of a nan with TOL reads false)
+    coh, mod = read[:, :2].T, size[:, :2].T  # r14, r23
+    is_x = ~((size[:, 2:] > states.TOL).any(axis=1)
+             | (np.fmax(np.abs(coh.imag), -coh.real) > states.TOL).any(axis=0))
     d1, d2, neg = np.empty((3, len(a)))
     if (is_x | on).any():
         # the closed forms on every row, cheaper than picking rows out; the
         # rows off their route are overwritten below.  D1 takes the clamped
         # real parts of the coherences and D2 their moduli, in one pass over
         # the kernel arguments: a1, a2 and B are (2, n), a3 and x (n,)
-        mod = np.abs(coh)
         a1, a2, a3, x, b = _x_kernel_args(*diag[:3], *np.stack([np.maximum(coh.real, 0.0), mod], 1))
         d1[:] = d1_x_kernel(a1[0], a2[0], a3, x, b[0])
         d2[:], neg[:] = d2_x_kernel(a1[1], a2[1], a3, x), _x_negativity(diag, mod)

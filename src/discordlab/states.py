@@ -8,9 +8,9 @@ the emission channels in `dynamics` and admits the closed-form
 measures in `measures`.
 
 `bloch` and `x_fields` take one state or a stack (..., 4, 4) of them:
-the batched pipeline `measures.measure_batch` decomposes and tests all
-its states in one call each, and `to_x_state` is the one-state case of
-`x_fields`.
+the batched pipeline `measures.measure_batch` decomposes all its states
+in one `bloch` call and applies the test of `x_fields` to ten entries of
+each row, and `to_x_state` is the one-state case of `x_fields`.
 """
 
 from __future__ import annotations
@@ -97,11 +97,12 @@ def validate(m, tol: float = TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
         raise StateError(f"expected a 4x4 matrix, got shape {a.shape}")
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    ah = a.conj().T
+    defect = float(np.max(np.abs(a - ah)))
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:g} exceeds tol {tol:g}")
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        a = 0.5 * (a + a.conj().T)
+        a = 0.5 * (a + ah)
     if not np.all(np.isfinite(a)):
         raise StateError("matrix has entries that are not finite")
     tr = float(a.trace().real)
@@ -284,20 +285,23 @@ def read_state_file(path) -> np.ndarray:
     deviation raises StateFileError.  The matrix is returned unvalidated;
     run validate() to enforce the density-matrix requirements.
     """
-    entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise StateFileError(f"{path}:{lineno}: expected 're,im', got {line!r}")
-            try:
-                re, im = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise StateFileError(f"{path}:{lineno}: non-numeric entry {line!r}") from exc
-            entries.append(complex(re, im))
+        text = fh.read()
+    entries = []
+    # split at "\n" only, as iterating over the file does: str.splitlines
+    # would also break at form feeds and other separators
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise StateFileError(f"{path}:{lineno}: expected 're,im', got {line!r}")
+        try:
+            re, im = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise StateFileError(f"{path}:{lineno}: non-numeric entry {line!r}") from exc
+        entries.append(complex(re, im))
     if len(entries) != 16:
         raise StateFileError(f"{path}: expected 16 entries, found {len(entries)}")
     return np.array(entries, dtype=complex).reshape(4, 4)

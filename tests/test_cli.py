@@ -727,6 +727,74 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+# a value for every option and positional of ACCEPTED, valid for the parser
+VALUES = {"--family": "classical", "--theta": "0.3", "--w": "0.25", "--s": "-0.5",
+          "--side": "both", "--gamma0": "2e-3", "--tmax": "3", "--points": "11",
+          "--config": "run.cfg", "--out": "o.csv", "--wmin": "0.1", "--wmax": "0.4",
+          "--wcount": "-3", "state_file": "rho.state", "n": "7"}
+
+
+def full_command_lines():
+    """Command lines that set every option of every subcommand, spelled both
+    `--opt v` and `--opt=v`, positionals first and last."""
+    for command, (options, positionals) in sorted(ACCEPTED.items()):
+        flags = sorted(options)
+        spaced = [s for o in flags for s in (o, VALUES[o])]
+        joined = [f"{o}={VALUES[o]}" for o in flags]
+        pos = [VALUES[p] for p in positionals]
+        yield [command, *pos, *spaced]
+        yield [command, *joined, *pos]
+        yield [command, *spaced[:2], *pos, *joined[1:]]
+
+
+@pytest.fixture
+def captured_namespaces(monkeypatch):
+    """Every namespace main hands a command, with the commands stubbed out
+    and the cached parsers rebuilt around the stubs (and again after)."""
+    seen = []
+    for command in ACCEPTED:
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda ns: seen.append(ns) or 0)
+    cli._parser.cache_clear()
+    cli._subcommands.cache_clear()
+    yield seen
+    monkeypatch.undo()
+    cli._parser.cache_clear()
+    cli._subcommands.cache_clear()
+
+
+def test_main_parses_as_the_full_parser(captured_namespaces):
+    lines = list(full_command_lines())
+    for argv in lines + [[command] for command in ("critical", "sweep")]:
+        assert main(argv) == 0, argv
+        assert captured_namespaces.pop() == cli._parser().parse_args(argv), argv
+    assert len(lines) == 3 * len(ACCEPTED)
+
+
+def full_parser_exit(argv, capsys):
+    try:
+        cli._parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+    raise AssertionError(f"{argv} parsed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["evolve", "-h"], ["figure", "--help"], [], ["no-such-command"],
+    ["critical", "--grid", "2000"], ["measure", "rho.state", "extra", "--seed", "1"],
+    ["figure", "x"], ["evolve", "--gamma0", "fast"], ["evolve", "--side", "C"],
+    ["figure", "2", "--poin", "3"], ["sweep", "--wcount"], ["measure"],
+    ["--out", "o.csv", "critical"],
+], ids=["help", "evolve-help", "figure-help", "empty", "unknown-command",
+        "unrecognized-option", "unrecognized-positional", "bad-int", "bad-float",
+        "bad-side", "option-prefix", "missing-value", "missing-positional",
+        "option-before-command"])
+def test_main_usage_errors_match_the_full_parser(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out) == full_parser_exit(argv, capsys)
+    assert code in (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

@@ -434,6 +434,23 @@ def test_measure_batch_equals_the_two_test_rule():
                 m = base.copy()
                 m[j, k] = m[k, j] = v
                 stack.append(m)
+        # at the limits themselves: an off-pattern entry, a coherence's
+        # imaginary part and its negative real part at TOL in modulus, at the
+        # next double beyond, and at -0.0
+        (j, k), (p, q) = ((0, 1), (0, 2), (1, 3), (2, 3))[seed % 4], ((0, 3), (1, 2))[seed % 2]
+        r = base[p, q].real
+        cases = [((p, q), complex(r, -0.0)), ((p, q), complex(-0.0, 0.0)),
+                 ((p, q), complex(-0.0, -0.0)), ((j, k), complex(-0.0, 0.0)),
+                 ((j, k), complex(0.0, -0.0)), ((j, k), complex(-0.0, -0.0))]
+        for tol in (states.TOL, np.nextafter(states.TOL, 1.0)):
+            cases += [((j, k), complex(tol, 0.0)), ((j, k), complex(-tol, 0.0)),
+                      ((j, k), complex(0.0, tol)), ((j, k), complex(0.0, -tol)),
+                      ((p, q), complex(r, tol)), ((p, q), complex(r, -tol)),
+                      ((p, q), complex(-tol, 0.0))]
+        for (u, v), entry in cases:
+            m = base.copy()
+            m[u, v], m[v, u] = entry, np.conj(entry)
+            stack.append(m)
         stack.append(sample_random_state(seed, "full-rank"))
         stack.append(sample_random_state(seed, "bell-diagonal"))
     stack = np.array(stack)[rng.permutation(len(stack))]
