@@ -10,8 +10,7 @@ kron(PAULI_Z, I2) = diag(1, 1, -1, -1).  Supported sizes are 2x2, 3x3
 and 4x4; anything else is rejected.
 
 Hermitian eigenvalues come from LAPACK through `np.linalg.eigvalsh`,
-after a Hermiticity check and one symmetrization of the input; the same
-solver serves the brute-force oracles in `measures`.  It and
+after a Hermiticity check and one symmetrization of the input.  It and
 `partial_transpose` also take a stack (..., k, k) of matrices, and
 `kron` stacks (..., 2, 2) of factors, so a batched caller makes one call.
 """

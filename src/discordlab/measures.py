@@ -82,13 +82,16 @@ all five for a whole stack at once (+inf on a projection that vanishes).
 Every value it compares is a true value of F, so the result never
 undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
 
-Both oracles scan a Fibonacci lattice of 2000 measurement axes and refine
-the best grid point with at most 200 Nelder-Mead iterations, which keeps
-them independent of every closed form here.  The d1 objective can have a
-second basin, so d1_oracle also refines from the best axis outside a 20
-degree cap around the first start and its antipode, and keeps the lower
-value.  scipy, which supplies the simplex, is imported on the first
-refinement only.
+Pi_n keeps the blocks of rho diagonal in the basis |+-n> of A, so the
+oracles' objectives ||rho - Pi_n(rho)||_1 = 2 sqrt(||C||_F^2 + 2 |det C|)
+and 2 ||rho - Pi_n(rho)||_2^2 = 4 ||C||_F^2 take only the off-diagonal
+block C = (<+n| x I) rho (|-n> x I): no eigensolver, and nothing from the
+closed forms.  Both scan a Fibonacci lattice of 2000 axes (theta, phi)
+and refine the best point with at most 200 Nelder-Mead iterations.  The
+d1 objective can have a second basin, so d1_oracle also refines from the
+best axis outside a 20 degree cap around the first start and its
+antipode, and keeps the lower value.  scipy, which supplies the
+simplex, is imported on the first refinement only.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, states
-from .linalg import I2, PAULIS
 
 __all__ = [
     "measure_batch",
@@ -112,7 +114,6 @@ __all__ = [
     "d1_oracle",
 ]
 
-_SIGMA_A = linalg.kron(np.stack(PAULIS), I2)  # sigma_k x I, (3, 4, 4)
 _TINY = np.finfo(float).tiny
 _CAP_COS = np.cos(np.radians(20.0))  # the d1 oracle's second start lies outside this cap
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
@@ -299,31 +300,39 @@ def negativity(rho) -> float:
 # brute-force oracles over the measurement manifold
 
 
-def _fibonacci_axes(n: int) -> np.ndarray:
-    """n near-uniform unit vectors on the sphere (deterministic lattice)."""
+def _fibonacci_angles(n: int) -> np.ndarray:
+    """(theta, phi) (n, 2) of a near-uniform lattice on the sphere, phi in (-pi, pi]."""
     i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    return np.stack([np.arccos(1.0 - (2.0 * i + 1.0) / n), np.angle(np.exp(1j * phi))], 1)
 
 
-def _measured_batch(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """sum_pm (P_pm x I) rho (P_pm x I) = (rho + N rho N) / 2, N = n.sigma x I,
-    for every axis n in one shot; axes (k,3) -> (k,4,4)."""
-    n = np.einsum("ka,aij->kij", axes, _SIGMA_A)
-    return 0.5 * (rho + n @ rho @ n)
+def _axes(tp: np.ndarray) -> np.ndarray:
+    """Unit axes (..., 3) from angles tp (..., 2)."""
+    th, ph = tp[..., 0], tp[..., 1]
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], -1)
 
 
-def _d2_objective(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    delta = rho[None, :, :] - _measured_batch(rho, axes)
-    return 2.0 * np.sum(delta.real**2 + delta.imag**2, axis=(1, 2))
+def _off_block(rho: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """C = (<+n| x I) rho (|-n> x I) (k, 2, 2), up to a phase, for the axes tp (k, 2)."""
+    # C = sum_ij <+n|i> <j|-n> R_ij, <+n|i> = (c, s), <j|-n> = (-s, c), R_ij rows of r
+    c = np.cos(0.5 * tp[:, :1])
+    s = np.sin(0.5 * tp[:, :1]) * np.exp(-1j * tp[:, 1:])
+    r = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return (np.concatenate([-c * s, c * c, -s * s, s * c], 1) @ r).reshape(-1, 2, 2)
 
 
-def _d1_objective(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    delta = rho[None, :, :] - _measured_batch(rho, axes)
-    # one batched eigvalsh over the whole grid keeps dense grids fast
-    return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=1)
+def _d2_objective(rho: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """2 ||rho - Pi_n(rho)||_2^2 = 4 ||C||_F^2 on each axis of tp."""
+    c = _off_block(rho, tp)
+    return 4.0 * np.einsum("kab,kab->k", c, c.conj()).real
+
+
+def _d1_objective(rho: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """||rho - Pi_n(rho)||_1 = 2 ||C||_1 = 2 sqrt(||C||_F^2 + 2 |det C|) on each axis of tp."""
+    c = _off_block(rho, tp)
+    det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+    return 2.0 * np.sqrt(np.einsum("kab,kab->k", c, c.conj()).real + 2.0 * np.abs(det))
 
 
 def minimize(fun, x0, **kw):
@@ -333,40 +342,28 @@ def minimize(fun, x0, **kw):
     return scipy_minimize(fun, x0, **kw)
 
 
-def _axis_from_angles(tp: np.ndarray) -> np.ndarray:
-    th, ph = tp
-    st = np.sin(th)
-    return np.array([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
-
-
 def _sphere_minimize(objective, rho, second_start=False):
     rho = np.asarray(rho, dtype=complex)
-    axes = _fibonacci_axes(2000)
-    vals = objective(rho, axes)
+    tp = _fibonacci_angles(2000)
+    vals = objective(rho, tp)
     vmin = float(vals.min())
-    cand = axes[vals <= vmin + 1e-14]
-    # deterministic tie-break: lexicographically smallest candidate axis
-    order = np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0]))
-    best_axis = cand[order[0]]
-    starts = [best_axis]
+    axes = _axes(tp)
+    cand = np.flatnonzero(vals <= vmin + 1e-14)
+    # deterministic tie-break: the lexicographically smallest candidate axis
+    best = cand[np.lexsort(axes[cand].T[::-1])[0]]
+    starts = [best]
     if second_start:
         # the objective is even in n, so the runner-up axis mostly sits by the
         # first start's antipode: take the best one outside a cap around both
-        outside = np.abs(axes @ best_axis) < _CAP_COS
-        starts.append(axes[outside][np.argmin(vals[outside])])
-
-    def fun(tp):
-        return float(objective(rho, _axis_from_angles(tp)[None, :])[0])
-
-    for start in starts:
-        t0 = np.array([np.arccos(np.clip(start[2], -1.0, 1.0)), np.arctan2(start[1], start[0])])
-        res = minimize(fun, t0, method="Nelder-Mead",
+        outside = np.flatnonzero(np.abs(axes @ axes[best]) < _CAP_COS)
+        starts.append(outside[np.argmin(vals[outside])])
+    best_tp = tp[best]
+    for k in starts:
+        res = minimize(lambda p: float(objective(rho, p[None])[0]), tp[k], method="Nelder-Mead",
                        options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
         if res.fun < vmin:
-            vmin = float(res.fun)
-            best_axis = _axis_from_angles(res.x)
-    best_axis = best_axis / np.sqrt(best_axis @ best_axis)
-    return max(vmin, 0.0), best_axis
+            vmin, best_tp = float(res.fun), res.x
+    return max(vmin, 0.0), _axes(best_tp)
 
 
 def d2_oracle(rho):

@@ -285,8 +285,11 @@ def read_state_file(path) -> np.ndarray:
     deviation raises StateFileError.  The matrix is returned unvalidated;
     run validate() to enforce the density-matrix requirements.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path}: not UTF-8 text: {exc}") from exc
     entries = []
     # split at "\n" only, as iterating over the file does: str.splitlines
     # would also break at form feeds and other separators

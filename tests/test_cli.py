@@ -133,6 +133,12 @@ def test_measure_malformed_file(tmp_path, capsys):
     assert code == 2
     assert "error:" in err
 
+    # a file that is not UTF-8 text does not parse either
+    (tmp_path / "bin.txt").write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "measure", str(tmp_path / "bin.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "utf-8" in err
+
 
 def test_measure_invalid_state(tmp_path, capsys):
     states.write_state_file(tmp_path / "id.txt", np.eye(4))
@@ -629,6 +635,12 @@ def test_config_errors(tmp_path, capsys):
                            "--w", "0.25", "--s", "0.25",
                            "--config", str(tmp_path / "missing.cfg"))
     assert code == 2 and "error:" in err
+
+    binary = tmp_path / "bin.cfg"
+    binary.write_bytes(b"points = 5\n\xff\n")
+    code, _, err = run_cli(capsys, "evolve", "--family", "classical",
+                           "--w", "0.25", "--s", "0.25", "--config", str(binary))
+    assert code == 2 and err.startswith("error: cannot read config file") and "utf-8" in err
 
 
 def test_config_keys_a_command_does_not_read(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Correlation measures: closed forms, the measurement map, negativity and
-the brute-force minimization oracles."""
+"""Correlation measures: closed forms, the oracles' objectives against the
+measurement map, negativity and the brute-force minimization oracles."""
 
 from fractions import Fraction
 
@@ -71,9 +71,38 @@ def found_state():
     return m
 
 
-def measured(rho, axis):
-    """sum_pm (P_pm x I) rho (P_pm x I) for one axis, through the oracles' batch map."""
-    return measures._measured_batch(np.asarray(rho, dtype=complex), np.asarray([axis]))[0]
+def measured(rho, axes):
+    """sum_pm (P_pm x I) rho (P_pm x I) for each axis n of axes (..., 3), from
+    the explicit projectors P_pm = (I +- n.sigma)/2."""
+    n_sigma = np.tensordot(np.asarray(axes, dtype=float), np.stack(linalg.PAULIS), 1)
+    out = 0.0
+    for sign in (1.0, -1.0):
+        p = linalg.kron(0.5 * (linalg.I2 + sign * n_sigma), linalg.I2)
+        out = out + p @ np.asarray(rho, dtype=complex) @ p
+    return out
+
+
+def axes_of(tp):
+    """Unit axes (k, 3) of angle pairs (theta, phi) (k, 2)."""
+    th, ph = np.asarray(tp, dtype=float).T
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], 1)
+
+
+def assert_objectives_match_eigensolver(rho, tp):
+    """The oracles' objectives on the angle pairs tp against ||rho - Pi_n(rho)||_1
+    from eigvalsh and 2 ||rho - Pi_n(rho)||_2^2 of the projector reference."""
+    tp = np.asarray(tp, dtype=float)
+    delta = rho - measured(rho, axes_of(tp))
+    trace_norm = np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+    hs = 2.0 * np.sum(np.abs(delta) ** 2, axis=(-2, -1))
+    np.testing.assert_allclose(measures._d1_objective(rho, tp), trace_norm, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(measures._d2_objective(rho, tp), hs, rtol=0, atol=1e-14)
+
+
+# the poles, phi at and next to +-pi, and a few generic pairs
+EDGE_ANGLES = [(0.0, 0.0), (np.pi, 0.0), (0.0, 1.3), (np.pi, -2.1), (0.7, np.pi),
+               (1.9, -np.pi), (2.4, np.nextafter(np.pi, 0.0)), (0.3, np.nextafter(-np.pi, 0.0)),
+               (1e-9, 0.4), (np.pi - 1e-9, -0.4)]
 
 
 def test_measure_map_examples():
@@ -86,6 +115,11 @@ def test_measure_map_examples():
     dephased = measured(bell_phi_plus(), [0.0, 0.0, 1.0])
     np.testing.assert_allclose(dephased, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-14)
 
+    # the objectives from the off-diagonal block, on these states and on the
+    # edges of the angle chart
+    for rho in (MAXMIX, rho_c, bell_phi_plus(), theta_state(0.3), found_state()):
+        assert_objectives_match_eigensolver(rho, EDGE_ANGLES)
+
 
 def test_measure_map_idempotent():
     rng = np.random.default_rng(17)
@@ -95,6 +129,14 @@ def test_measure_map_idempotent():
         once = measured(rho, axis)
         np.testing.assert_allclose(measured(once, axis), once, atol=1e-13)
         assert abs(np.trace(once) - 1.0) < 1e-14
+
+    # the objectives on seeded states of each kind, over a lattice and the edges
+    tp = np.concatenate([measures._fibonacci_angles(100), EDGE_ANGLES])
+    for seed in range(10):
+        for kind in ("full-rank", "x-shaped", "bell-diagonal"):
+            rho = sample_random_state(seed, kind)
+            assert_objectives_match_eigensolver(rho, tp)
+            assert_objectives_match_eigensolver(random_z_phases(rho, seed), tp)
 
 
 def test_d2_closed_examples():
@@ -207,9 +249,10 @@ def test_hypot_objective_matches_eigensolver():
         bd = states.bloch(rho)
         x, t = bd.x_vec, bd.corr
         kinks = measures._kink_axes(np.outer(x, x) - t @ t.T)
-        axes = np.concatenate([measures._fibonacci_axes(200), kinks])
+        axes = np.concatenate([axes_of(measures._fibonacci_angles(200)), kinks])
         got = np.sqrt(measures._objective_sq(x, t, axes))
-        np.testing.assert_allclose(got, measures._d1_objective(rho, axes), rtol=0, atol=1e-14)
+        want = np.sum(np.abs(np.linalg.eigvalsh(rho - measured(rho, axes))), axis=-1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_d1_exact_hard_cases():

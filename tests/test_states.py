@@ -199,3 +199,8 @@ def test_state_file_errors(tmp_path):
     noisy.write_text("abc,def\n" * 16)
     with pytest.raises(StateFileError):
         read_state_file(noisy)
+
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    with pytest.raises(StateFileError, match="not UTF-8"):
+        read_state_file(binary)
