@@ -39,6 +39,9 @@ def main():
         rho = make_state(FamilyParams("theta", theta=np.pi * frac))
         d1_brute, axis = d1_oracle(rho)
         d2_brute, _ = d2_oracle(rho)
+        # round first and add +0.0, so a rounding residue prints as +0.000
+        # whatever its sign
+        axis = [round(float(c), 3) + 0.0 for c in axis]
         print(f"  theta = {frac:.2f} pi: d1 {d1:.8f} vs oracle {d1_brute:.8f} "
               f"({method}), d2 {sq**2:.8f} vs {d2_brute:.8f}, "
               f"minimizing axis ({axis[0]:+.3f}, {axis[1]:+.3f}, {axis[2]:+.3f})")

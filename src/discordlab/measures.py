@@ -90,11 +90,14 @@ closed forms.  Both scan a Fibonacci lattice of 2000 axes (theta, phi)
 and refine the best point with at most 200 Nelder-Mead iterations.  The
 d1 objective can have a second basin, so d1_oracle also refines from the
 best axis outside a 20 degree cap around the first start and its
-antipode, and keeps the lower value.  scipy, which supplies the
-simplex, is imported on the first refinement only.
+antipode, and keeps the lower value.  `minimize` is that simplex, on
+Python floats: it takes scipy's Nelder-Mead steps one for one, so the
+package needs numpy alone.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -335,11 +338,53 @@ def _d1_objective(rho: np.ndarray, tp: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(np.einsum("kab,kab->k", c, c.conj()).real + 2.0 * np.abs(det))
 
 
-def minimize(fun, x0, **kw):
-    """scipy.optimize.minimize, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
+def minimize(fun, x0):
+    """Nelder-Mead from x0 (2,) on fun(p) for arrays p (2,): x, fun and nit.
 
-    return scipy_minimize(fun, x0, **kw)
+    The steps of scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+    options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14}), which sets no
+    evaluation cap, on Python floats (Nelder & Mead, Computer Journal 7, 308,
+    1965): reflection 1, expansion 2, contraction and shrink 1/2; the first
+    simplex moves each coordinate of x0 by 5%, or to 0.00025 where it is 0;
+    the vertices are sorted stably by value after every iteration; nit
+    starts at 1, and the search stops when every vertex lies within xatol of
+    the best in each coordinate and within fatol of it in value, or when nit
+    reaches 200.
+    """
+    def vertex(a, b):
+        return [float(fun(np.array([a, b]))), a, b]
+
+    a, b = float(x0[0]), float(x0[1])
+    sim = sorted([vertex(a, b), vertex(1.05 * a if a else 0.00025, b),
+                  vertex(a, 1.05 * b if b else 0.00025)], key=lambda v: v[0])
+    nit = 1
+    while nit < 200:
+        (f0, a0, b0), (f1, a1, b1), (f2, a2, b2) = sim
+        if (max(abs(a1 - a0), abs(b1 - b0), abs(a2 - a0), abs(b2 - b0)) <= 1e-10
+                and max(abs(f0 - f1), abs(f0 - f2)) <= 1e-14):
+            break
+        ma, mb = (a0 + a1) / 2, (b0 + b1) / 2  # the centroid of the two best
+        new = vertex(2.0 * ma - a2, 2.0 * mb - b2)  # reflection
+        if new[0] < f0:
+            grown = vertex(3.0 * ma - 2.0 * a2, 3.0 * mb - 2.0 * b2)  # expansion
+            sim[2] = grown if grown[0] < new[0] else new
+        elif new[0] < f1:
+            sim[2] = new
+        else:
+            if new[0] < f2:  # outside contraction
+                cut = vertex(1.5 * ma - 0.5 * a2, 1.5 * mb - 0.5 * b2)
+                keep = cut[0] <= new[0]
+            else:  # inside contraction
+                cut = vertex(0.5 * ma + 0.5 * a2, 0.5 * mb + 0.5 * b2)
+                keep = cut[0] < f2
+            if keep:
+                sim[2] = cut
+            else:  # shrink towards the best vertex
+                sim[1:] = [vertex(a0 + 0.5 * (a - a0), b0 + 0.5 * (b - b0))
+                           for _, a, b in sim[1:]]
+        nit += 1
+        sim.sort(key=lambda v: v[0])
+    return SimpleNamespace(x=np.array(sim[0][1:]), fun=sim[0][0], nit=nit)
 
 
 def _sphere_minimize(objective, rho, second_start=False):
@@ -359,10 +404,9 @@ def _sphere_minimize(objective, rho, second_start=False):
         starts.append(outside[np.argmin(vals[outside])])
     best_tp = tp[best]
     for k in starts:
-        res = minimize(lambda p: float(objective(rho, p[None])[0]), tp[k], method="Nelder-Mead",
-                       options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
+        res = minimize(lambda p: objective(rho, p[None])[0], tp[k])
         if res.fun < vmin:
-            vmin, best_tp = float(res.fun), res.x
+            vmin, best_tp = res.fun, res.x
     return max(vmin, 0.0), _axes(best_tp)
 
 

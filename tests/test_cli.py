@@ -836,10 +836,24 @@ def test_console_script_smoke():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the oracles' refinement and loads on its first use
+    # the package needs numpy alone; scipy serves only the tests as a reference
     code = ("import sys, discordlab, discordlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_oracles_run_without_scipy():
+    # a None entry in sys.modules makes every import of scipy fail
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from discordlab import measures, states; "
+            "rho = states.sample_random_state(3, 'full-rank'); "
+            "print(abs(measures.d1_oracle(rho)[0] - measures.d1_exact(rho)), "
+            "abs(measures.d2_oracle(rho)[0] - measures.d2_closed(rho)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    d1_gap, d2_gap = map(float, proc.stdout.split())
+    assert d1_gap <= 1e-9 and d2_gap <= 1e-12

@@ -228,6 +228,45 @@ def test_oracle_axis_deterministic_and_unit():
     assert abs(np.linalg.norm(a1) - 1.0) < 1e-12
 
 
+def test_minimize_repeats_scipy_nelder_mead():
+    # the same points evaluated in the same order, so the same x, fun and nit;
+    # lattice index 0 has phi = 0 and (0, 0) two zero coordinates, where the
+    # first simplex steps to 0.00025, I/4 ties every value at 0, the d1
+    # objective rounded to two decimals ties values in every comparison, and
+    # full-rank seed 14 reaches the 200-iteration cap from lattice index 0
+    from scipy.optimize import minimize as scipy_minimize
+
+    def rounded_d1(rho, tp):
+        return np.round(measures._d1_objective(rho, tp), 2)
+
+    def traced(objective, rho, seen):
+        def fun(p):
+            seen.append(tuple(p))
+            return objective(rho, p[None])[0]
+        return fun
+
+    tp = measures._fibonacci_angles(2000)
+    cases = []
+    for rho in [MAXMIX, theta_state(np.pi / 6)]:
+        cases += [(rho, measures._d1_objective), (rho, measures._d2_objective)]
+    for seed in (0, 1, 2, 3, 14):
+        rho = sample_random_state(seed, "full-rank")
+        cases += [(rho, measures._d1_objective), (rho, measures._d2_objective), (rho, rounded_d1)]
+        for kind in ("x-shaped", "bell-diagonal"):
+            rho = random_z_phases(sample_random_state(seed, kind), seed)
+            cases += [(rho, measures._d1_objective), (rho, measures._d2_objective)]
+    for rho, objective in cases:
+        best = np.argmin(objective(rho, tp))
+        for x0 in (tp[best], tp[0], tp[1999], np.zeros(2)):
+            seen, ref_seen = [], []
+            got = measures.minimize(traced(objective, rho, seen), x0)
+            want = scipy_minimize(traced(objective, rho, ref_seen), x0, method="Nelder-Mead",
+                                  options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
+            assert seen == ref_seen
+            assert np.array_equal(got.x, want.x)
+            assert got.fun == want.fun and got.nit == want.nit
+
+
 def test_local_unitary_invariance():
     for seed in (0, 1):
         rho = sample_random_state(seed, "full-rank")
