@@ -1,13 +1,11 @@
 """Quantum-correlation measures for two-qubit states.
 
 `measure_batch` is the one measure pipeline.  For a stack of states it
-reads each state's diagonal, coherences and off-pattern entries once, and
-decides both routes from them.  It takes D2 and the negativity of every
-X-pattern state (off-pattern entries exactly zero, coherences of any
-phase) in closed form, and those of the other states from one Bloch
-decomposition and one batched eigensolve each; D1 comes from the X-state
-kernel on the states that pass `states.to_x_state`'s test and from one
-`d1_exact` call on the rest.
+reads each state's diagonal, coherences and off-pattern entries once.  It
+takes D1, D2 and the negativity of every X-pattern state (off-pattern
+entries exactly zero, coherences of any phase) in closed form, and those
+of the other states from one Bloch decomposition, one `d1_exact` pass
+and one batched eigensolve.
 `d2_closed` and `negativity` stay the general eigensolver forms, and
 `d1_exact` is the one-state case of its D1 route.
 
@@ -25,12 +23,12 @@ non-negative X class both have closed forms in terms of
 There K = diag(a1^2, a2^2, a3^2 + x^2), so D2 is half the smallest
 pairwise sum of those three (`d2_x_kernel`; Dakic, Vedral & Brukner,
 PRL 105, 190502).  Local z-rotations, which give the coherences phases,
-change neither D2 nor the negativity, so both take the coherences'
-moduli.  The partial transpose of an X state splits into the blocks
-[[r11, |r23|], [|r23|, r44]] and [[r22, |r14|], [|r14|, r33]]; each has
-eigenvalues l+ = m + hypot(d, c) and l- = det / l+ (with m, d the mean
-and half difference of its diagonal and c its coherence), and for unit
-trace the negativity is -2 times the sum of the negative ones.  D1, with
+change none of D1, D2 and the negativity, so all three take the
+coherences' moduli.  The partial transpose of an X state splits into
+the blocks [[r11, |r23|], [|r23|, r44]] and [[r22, |r14|], [|r14|, r33]];
+each has eigenvalues l+ = m + hypot(d, c) and l- = det / l+ (with m, d
+the mean and half difference of its diagonal and c its coherence), and
+for unit trace the negativity is -2 times the sum of the negative ones.  D1, with
 a = max(a3^2, a2^2 + x^2) and b = min(a3^2, a1^2), is the weighted mean
 (Ciccarello, Tufarelli & Giovannetti 2014)
 
@@ -121,7 +119,7 @@ _TINY = np.finfo(float).tiny
 _CAP_COS = np.cos(np.radians(20.0))  # the d1 oracle's second start lies outside this cap
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
 # flat row-major indices of r14, r23 and the eight entries off the X pattern,
-# the ten entries that decide both routes of measure_batch
+# the ten entries that decide the route of measure_batch
 _READ = np.concatenate([[3, 6], np.flatnonzero(~states._X_PATTERN)])
 
 
@@ -160,50 +158,33 @@ def measure_batch(rhos):
     """d1, d2, negativity and the d1 route of every state in a stack (n, 4, 4).
 
     One 4x4 state counts as n = 1.  Each row's diagonal, coherences and
-    off-pattern entries are read once, and both routes are decided from
-    them.  D2 and the negativity come in closed form, from the coherences'
-    moduli, on the rows whose off-pattern entries are exactly zero.  The
-    route reads "closed-x", and D1 comes from `d1_x_kernel` on the
-    coherences' real parts clamped at 0, where the row passes the X test
-    of `states.x_fields`: off-pattern entries and the coherences'
-    imaginary parts at most `states.TOL` in modulus, and their real parts
-    at least -TOL.  Every other row reads "exact", and its D1 comes from
-    one `d1_exact` call over all those rows.  The rows left over get one
-    Bloch decomposition, which also feeds `d1_exact`, and one batched
-    eigensolve each for D2 and the negativity.  Returns arrays d1, d2, neg
-    and route, of length n.
+    off-pattern entries are read once.  On the rows whose off-pattern
+    entries are exactly zero, all three measures come in closed form from
+    the populations and the coherences' moduli, whatever their phases, and
+    the route reads "closed-x".  Every other row reads "exact": one Bloch
+    decomposition over those rows feeds `d1_exact` and D2, and one batched
+    eigensolve gives the negativity.  Returns arrays d1, d2, neg and
+    route, of length n.
     """
     a = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
     flat = a.reshape(-1, 16)
     diag = flat[:, ::5].real.T  # r11, r22, r33, r44
-    read = flat[:, _READ]  # r14, r23 and the eight off-pattern entries
-    size = np.abs(read)
+    size = np.abs(flat[:, _READ])  # |r14|, |r23| and the eight off-pattern moduli
     on = ~size[:, 2:].any(axis=1)  # exact zeros off the X pattern
-    # the tolerant test of states.x_fields: strays, the coherences' imaginary
-    # parts and their negative real parts at most TOL in size (fmax drops a
-    # nan, as the comparison of a nan with TOL reads false)
-    coh, mod = read[:, :2].T, size[:, :2].T  # r14, r23
-    is_x = ~((size[:, 2:] > states.TOL).any(axis=1)
-             | (np.fmax(np.abs(coh.imag), -coh.real) > states.TOL).any(axis=0))
     d1, d2, neg = np.empty((3, len(a)))
-    if (is_x | on).any():
+    if on.any():
         # the closed forms on every row, cheaper than picking rows out; the
-        # rows off their route are overwritten below.  D1 takes the clamped
-        # real parts of the coherences and D2 their moduli, in one pass over
-        # the kernel arguments: a1, a2 and B are (2, n), a3 and x (n,)
-        a1, a2, a3, x, b = _x_kernel_args(*diag[:3], *np.stack([np.maximum(coh.real, 0.0), mod], 1))
-        d1[:] = d1_x_kernel(a1[0], a2[0], a3, x, b[0])
-        d2[:], neg[:] = d2_x_kernel(a1[1], a2[1], a3, x), _x_negativity(diag, mod)
-    rest = ~(is_x & on)  # the rows that need the Bloch form
-    if rest.any():
-        bd = states.bloch(a[rest])
-        x, t, off, exact = bd.x_vec, bd.corr, ~on[rest], ~is_x[rest]
-        if off.any():
-            d2[~on] = _d2(x[off], t[off])
-            neg[~on] = _negativity(a[~on])
-        if exact.any():
-            d1[~is_x] = _d1_exact(x[exact], t[exact])
-    return d1, d2, neg, np.where(is_x, "closed-x", "exact")
+        # rows off the X pattern are overwritten below
+        mod = size[:, :2].T
+        a1, a2, a3, x, b = _x_kernel_args(*diag[:3], *mod)
+        d1[:], d2[:] = d1_x_kernel(a1, a2, a3, x, b), d2_x_kernel(a1, a2, a3, x)
+        neg[:] = _x_negativity(diag, mod)
+    off = ~on
+    if off.any():
+        bd = states.bloch(a[off])
+        d1[off], d2[off] = _d1_exact(bd.x_vec, bd.corr), _d2(bd.x_vec, bd.corr)
+        neg[off] = _negativity(a[off])
+    return d1, d2, neg, np.where(on, "closed-x", "exact")
 
 
 def d2_closed(rho) -> float:

@@ -9,8 +9,8 @@ measures in `measures`.
 
 `bloch` and `x_fields` take one state or a stack (..., 4, 4) of them:
 the batched pipeline `measures.measure_batch` decomposes all its states
-in one `bloch` call and applies the test of `x_fields` to ten entries of
-each row, and `to_x_state` is the one-state case of `x_fields`.
+off the X pattern in one `bloch` call, and `to_x_state` is the
+one-state case of `x_fields`.
 """
 
 from __future__ import annotations

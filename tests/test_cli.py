@@ -85,19 +85,25 @@ def test_measure_bell_state(tmp_path, capsys):
 
 
 def test_measure_non_x_state_exact(tmp_path, capsys):
-    # phased corners put this X state outside the closed form; Nelder-Mead
-    # once stopped at 0.2106 on it
+    # an X state with phased corners takes the closed form on their moduli;
+    # Nelder-Mead once stopped at 0.2106 on it.  Fixed local unitaries off
+    # the diagonal move it off the X pattern, to the exact route, with the
+    # same value
     rho = np.diag([0.0651, 0.0988, 0.496, 0.3401]).astype(complex)
     rho[0, 3] = 0.0058 * np.exp(0.97j)
     rho[1, 2] = 0.0995 * np.exp(-0.55j)
     rho[3, 0], rho[2, 1] = np.conj(rho[0, 3]), np.conj(rho[1, 2])
-    states.write_state_file(tmp_path / "x.txt", rho)
-    code, out, _ = run_cli(capsys, "measure", str(tmp_path / "x.txt"))
-    assert code == 0
-    _, rows = rows_of(out)
-    d1, _, _, _, method = rows[0]
-    assert method == "exact"
-    assert abs(float(d1) - 0.2101993252624578) < 1e-12
+    u_a = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    u_b = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
+    u = np.kron(u_a, u_b)
+    for m, route in ((rho, "closed-x"), (u @ rho @ u.conj().T, "exact")):
+        states.write_state_file(tmp_path / "x.txt", m)
+        code, out, _ = run_cli(capsys, "measure", str(tmp_path / "x.txt"))
+        assert code == 0
+        _, rows = rows_of(out)
+        d1, _, _, _, method = rows[0]
+        assert method == route
+        assert abs(float(d1) - 0.2101993252624578) < 1e-12
 
 
 @pytest.mark.parametrize("scale", [1.0 + 5e-11, 1.0 - 5e-11])

@@ -54,12 +54,16 @@ def unit(v):
     return a / np.sqrt(a @ a)
 
 
-def random_z_phases(rho, seed):
-    """rho under a local z-rotation of each qubit: X states get complex corners."""
-    a, b = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 2)
+def z_phased(rho, a, b):
+    """rho under local z-rotations by the angles a on A and b on B."""
     u = np.diag(np.kron([np.exp(0.5j * a), np.exp(-0.5j * a)],
                         [np.exp(0.5j * b), np.exp(-0.5j * b)]))
     return u @ rho @ u.conj().T
+
+
+def random_z_phases(rho, seed):
+    """rho under a local z-rotation of each qubit: X states get complex corners."""
+    return z_phased(rho, *np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 2))
 
 
 def found_state():
@@ -334,7 +338,8 @@ def test_d1_exact_never_above_oracle():
 def near_x_boundary(size):
     """A negative coherence, an imaginary coherence part and an off-pattern
     entry of the given size: inside to_x_state's 1e-10 limits at 1e-11,
-    outside them at 1e-9."""
+    outside them at 1e-9.  measure_batch routes the first two "closed-x"
+    and the third "exact" at either size."""
     base = from_x_state(XState(0.3, 0.25, 0.25, 0.2, 0.1, 0.05))
     out = []
     for j, k, v in ((0, 3, -size), (1, 2, 0.05 + 1j * size), (0, 1, size)):
@@ -346,7 +351,10 @@ def near_x_boundary(size):
 
 def test_measure_batch_matches_scalar_path():
     # X, phased X, Bell-diagonal with a negative coherence, full rank, and
-    # both sides of the X test's limits, all in one batch
+    # both sides of to_x_state's limits, all in one batch: every row with
+    # exact zeros off the X pattern takes the closed form on its coherences'
+    # moduli, and every other row, a 1e-11 stray included, d1_exact of the
+    # matrix itself
     batch = [sample_random_state(seed, "x-shaped") for seed in range(4)]
     batch += [random_z_phases(sample_random_state(seed, "x-shaped"), seed) for seed in range(4)]
     for c in ((-0.3, 0.2, 0.1), (0.1, 0.4, -0.2), (-0.5, -0.1, -0.3)):
@@ -354,12 +362,13 @@ def test_measure_batch_matches_scalar_path():
     batch += [sample_random_state(seed, "full-rank") for seed in range(4)]
     batch += near_x_boundary(1e-11) + near_x_boundary(1e-9)
     d1, d2, neg, route = measure_batch(np.array(batch))
-    assert list(route) == ["closed-x"] * 4 + ["exact"] * 11 + ["closed-x"] * 3 + ["exact"] * 3
+    assert list(route) == (["closed-x"] * 11 + ["exact"] * 4
+                           + (["closed-x"] * 2 + ["exact"]) * 2)
     for k, rho in enumerate(batch):
-        try:
-            want, method = d1_x_with_method(to_x_state(rho))
-        except states.NotXShaped:
+        if np.any(rho[~states._X_PATTERN]):
             want, method = d1_exact(rho), "exact"
+        else:
+            want, method = d1_x_with_method(gauged_x(rho))
         assert route[k] == method
         assert abs(d1[k] - want) <= 1e-14
         assert abs(d2[k] - d2_closed(rho)) <= 1e-14
@@ -406,7 +415,7 @@ def test_measure_batch_rows_are_independent():
         at = int(np.flatnonzero(perm == k)[0])
         for got, moved, one in zip(whole, shuffled, alone):
             assert got[k] == moved[at] == one[0]
-        want = d1_closed_x(to_x_state(rho)) if whole[3][k] == "closed-x" else d1_exact(rho)
+        want = d1_closed_x(gauged_x(rho)) if whole[3][k] == "closed-x" else d1_exact(rho)
         assert whole[0][k] == want
 
 
@@ -454,10 +463,9 @@ def phased_x_stack(n):
 
 
 def test_measure_batch_x_rows_make_no_eigensolves(monkeypatch):
-    # rows with exact zeros off the X pattern take d2 and the negativity in
-    # closed form, whatever the phases of their coherences; d1_exact, which
-    # the phased rows and the Bell-diagonal ones with a negative coherence
-    # take for d1, is stubbed out, as its eigensolves are its own
+    # rows with exact zeros off the X pattern take d1, d2 and the negativity
+    # in closed form, whatever the phases of their coherences: no eigensolve
+    # and no Bloch decomposition
     stack = np.concatenate([evolved_x_stack(), phased_x_stack(20),
                             [sample_random_state(seed, "bell-diagonal") for seed in range(20)]])
     calls = []
@@ -467,25 +475,28 @@ def test_measure_batch_x_rows_make_no_eigensolves(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    monkeypatch.setattr(measures, "_d1_exact", lambda x, t: np.zeros(len(x)))
+
+    def bloch(*args, _fn=states.bloch, **kwargs):
+        calls.append("bloch")
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(states, "bloch", bloch)
     route = measure_batch(stack)[3]
-    assert set(route) == {"closed-x", "exact"}
+    assert set(route) == {"closed-x"}
     assert calls == []
 
 
 def two_test_rule(stack):
-    """measure_batch as two separate X tests: the tolerant one of
-    `states.x_fields` routes d1, and exact zeros off the X pattern route d2
-    and the negativity, each block of the partial transpose taken in turn."""
+    """measure_batch spelled out: exact zeros off the X pattern route d1, d2
+    and the negativity alike, each block of the partial transpose taken in
+    turn."""
     a = np.asarray(stack, dtype=complex)
-    is_x, f = states.x_fields(a)
     on = ~np.any(a[:, ~states._X_PATTERN], axis=-1)
     d1, d2, neg = np.empty(len(a)), np.empty(len(a)), np.empty(len(a))
-    r11, r22, r33, _, r14, r23 = f[is_x].T
-    d1[is_x] = measures.d1_x_kernel(*measures._x_kernel_args(r11, r22, r33, r14, r23))
     r11, r22, r33, r44 = np.diagonal(a[on], axis1=-2, axis2=-1).real.T
     r14, r23 = np.abs(a[on, 0, 3]), np.abs(a[on, 1, 2])
-    d2[on] = measures.d2_x_kernel(*measures._x_kernel_args(r11, r22, r33, r14, r23)[:4])
+    args = measures._x_kernel_args(r11, r22, r33, r14, r23)
+    d1[on], d2[on] = measures.d1_x_kernel(*args), measures.d2_x_kernel(*args[:4])
     neg_on = np.zeros(np.count_nonzero(on))
     for p, q, c in ((r11, r44, r23), (r22, r33, r14)):
         top = 0.5 * (p + q) + np.hypot(0.5 * (p - q), c)
@@ -494,13 +505,13 @@ def two_test_rule(stack):
     bd = states.bloch(a)
     d2[~on] = measures._d2(bd.x_vec[~on], bd.corr[~on])
     neg[~on] = measures._negativity(a[~on])
-    d1[~is_x] = measures._d1_exact(bd.x_vec[~is_x], bd.corr[~is_x])
-    return d1, d2, neg, np.where(is_x, "closed-x", "exact")
+    d1[~on] = measures._d1_exact(bd.x_vec[~on], bd.corr[~on])
+    return d1, d2, neg, np.where(on, "closed-x", "exact")
 
 
 def test_measure_batch_equals_the_two_test_rule():
-    # one read of each row decides both routes, with the same bits and routes
-    # as the two separate tests, on rows at and around the X test's limits
+    # one read of each row decides the route, with the same bits and routes as
+    # the reference, on rows at and around to_x_state's limits
     rng = np.random.default_rng(2707)
     stack = [*evolved_x_stack(), *phased_x_stack(40)]
     for seed in range(40):
@@ -540,7 +551,40 @@ def test_measure_batch_equals_the_two_test_rule():
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
     routes = set(zip(got[3], ~np.any(stack[:, ~states._X_PATTERN], axis=-1)))
-    assert routes == {("closed-x", True), ("closed-x", False), ("exact", True), ("exact", False)}
+    assert routes == {("closed-x", True), ("exact", False)}
+
+
+def test_measure_batch_x_rows_take_the_closed_form_on_the_moduli():
+    # a zero of d1 under local z-phases: the figure 5 state evolved on side A
+    # to gamma0 t = ln 1.6, where d1_exact reads 5.27e-9
+    fig5 = families.make_state(families.FamilyParams("discordant", w=0.4, s=0.2))
+    rho = dynamics.evolve_states(fig5, "A", np.array([np.log(1.6)]), 1.0)[0]
+    d1, _, _, route = measure_batch(z_phased(rho, 0.9, -0.4))
+    assert route[0] == "closed-x" and d1[0] <= 1e-15
+    # seeded x-shaped and Bell-diagonal rows as sampled, under local z-phases
+    # and with both coherences negated
+    rows = []
+    for kind in ("x-shaped", "bell-diagonal"):
+        for seed in range(100):
+            rho = sample_random_state(seed, kind)
+            negated = rho.copy()
+            negated[[0, 1, 2, 3], [3, 2, 1, 0]] *= -1.0
+            rows += [rho, random_z_phases(rho, seed), negated]
+    stack = np.array(rows)
+    d1, _, _, route = measure_batch(stack)
+    assert set(route) == {"closed-x"}
+    r11, r22, r33, _ = np.diagonal(stack, axis1=-2, axis2=-1).real.T
+    args = measures._x_kernel_args(r11, r22, r33, np.abs(stack[:, 0, 3]), np.abs(stack[:, 1, 2]))
+    assert d1.tobytes() == measures.d1_x_kernel(*args).tobytes()
+    assert max(abs(got - d1_exact(rho)) for rho, got in zip(stack, d1)) <= 1e-15
+    # rows with real, non-negative coherences: the bits of to_x_state's route
+    kept = 0
+    for rho, got in zip(stack, d1):
+        coh = rho[[0, 1], [3, 2]]
+        if not np.any(coh.imag) and np.all(coh.real >= 0.0):
+            assert got == d1_closed_x(to_x_state(rho))
+            kept += 1
+    assert kept >= 100
 
 
 def exact_x_d2(rho):
