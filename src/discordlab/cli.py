@@ -15,6 +15,15 @@ Flags win over the `key=value` lines of --config, which win over
 DEFAULTS; a config file may carry keys the command does not read.
 Options are spelled out in full: a prefix of one is a usage error.
 
+`build_parser` is the one definition of the grammar and the only source
+of help text and usage errors.  A plain command line, a subcommand then
+its own long options (`--opt v` or `--opt=v`, the last one winning) and
+positionals, is read from tables taken once from the subcommand parsers'
+actions (types, choices, defaults, `set_defaults`), into the namespace
+argparse would build.  Any other line goes to argparse: help, `--`, an
+unknown or abbreviated option, a value or positional starting with "-",
+a failed conversion or choice, a missing or extra positional.
+
 `measure`, `evolve` and `figure 1` hand all their states to
 `measures.measure_batch` in one call (`evolve` builds them with one
 `dynamics.evolve_states` call); figures 2-6 use the closed-form family
@@ -437,29 +446,86 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _table(sub, base):
+    """(options, positionals, defaults) of a subcommand parser: its long
+    one-value options by spelling, its positional actions in order and the
+    namespace it starts from, over `base`.  None where the subcommand takes
+    anything else: then every command line of it goes to the full parser."""
+    options, positionals, defaults = {}, [], {**base, **sub._defaults}
+    for a in sub._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue  # -h and --help are not in options: the full parser prints help
+        if type(a) is not argparse._StoreAction or a.option_strings and (
+                a.nargs is not None or a.required or not all(s[:2] == "--" for s in a.option_strings)):
+            return None
+        if a.option_strings:
+            options.update(dict.fromkeys(a.option_strings, a))
+        else:
+            positionals.append(a)
+        # as argparse does, an action's default wins and a string one takes its type
+        defaults[a.dest] = a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+    # a lone optional positional takes the one plain token or its default;
+    # beside others, argparse would assign it by where the options fall
+    if any(a.nargs is not None for a in positionals) and (
+            len(positionals) > 1 or positionals[0].nargs != "?" or positionals[0].choices):
+        return None
+    return options, positionals, defaults
+
+
 @functools.cache
 def _subcommands() -> dict:
-    """The subcommand parsers of `_parser()`, by name."""
+    """The plain-line table (`_table`) of each subcommand of `_parser()`, by
+    name, its defaults over the subcommand's name as the full parser sets it."""
     (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+    return {name: _table(sub, {action.dest: name}) for name, sub in action.choices.items()}
+
+
+def _value(action, text):
+    """`text` converted by the action's type and in its choices, or None."""
+    try:
+        value = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return value if action.choices is None or value in action.choices else None
+
+
+def _read_plain(table, args):
+    """The namespace of the arguments after a subcommand, read from its
+    table, or None where the full parser must decide (module docstring)."""
+    options, positionals, defaults = table
+    values, plain = dict(defaults), []
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-"):
+            plain.append(token)
+            continue
+        spelling, eq, text = token.partition("=")
+        action = options.get(spelling)
+        if action is None:
+            return None
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        values[action.dest] = value = _value(action, text)
+        if value is None:
+            return None
+    if len(plain) > len(positionals) or any(a.nargs is None for a in positionals[len(plain):]):
+        return None
+    for action, text in zip(positionals, plain):
+        values[action.dest] = value = _value(action, text)
+        if value is None:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv) -> argparse.Namespace:
-    """The namespace `_parser().parse_args(argv)` returns, with its errors.
-
-    A command line that starts with a subcommand is parsed by that
-    subcommand's parser alone, which is what the full parser hands it to,
-    at about half the cost; arguments it does not take are the full
-    parser's usage error.  Any other command line goes to the full parser.
-    """
-    sub = _subcommands().get(argv[0]) if argv else None
-    if sub is None:
-        return _parser().parse_args(argv)
-    ns, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
-    ns.command = argv[0]
-    return ns
+    """The namespace `_parser().parse_args(argv)` returns, with its errors:
+    a plain line read from its subcommand's table, at a tenth of
+    argparse's cost, and any other line through the full parser."""
+    table = _subcommands().get(argv[0]) if argv else None
+    ns = _read_plain(table, argv[1:]) if table is not None else None
+    return ns if ns is not None else _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -55,7 +55,10 @@ to a zero of the spread.
 The spread vanishes exactly on the normals of the circular sections of
 S: with eigenvalues s1 >= s2 >= s3 and eigenvectors v1, v3,
 n+- ~ sqrt(s1 - s2) v1 +- sqrt(s2 - s3) v3.  These kinks are the cone
-points of F.  Elsewhere F is smooth and is the maximum over the frame
+points of F.  Where a gap s1 - s2 or s2 - s3 sits at rounding level, as
+near a zero of D1 (there s1 - s2 = D1^2), its square root leans the
+computed kinks about 1e-8 off the true ones, so their limits v1 and v3
+are scored too.  Elsewhere F is smooth and is the maximum over the frame
 angle of the saddle function
 
     L(u, v) = (u.x)^2 + v.Q.v,  Q = T T^T,
@@ -76,7 +79,8 @@ which then reach lambda_2(Q); a repeated bottom eigenvalue adds a
 minimum only when x is zero or along the top eigenvector.  So F is
 smallest on one of five closed-form axes, the two kinks and the three
 projections of x off the eigenvectors of Q, and d1_exact evaluates F on
-all five for a whole stack at once (+inf on a projection that vanishes).
+those five and on v1 and v3 for a whole stack at once (+inf on a
+projection that vanishes).
 Every value it compares is a true value of F, so the result never
 undercuts the minimum.  For x = 0, D1 is the middle singular value of T.
 
@@ -425,15 +429,18 @@ def _objective_sq(x: np.ndarray, t: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def _kink_axes(s: np.ndarray) -> np.ndarray:
-    """The two axes (..., 2, 3) where the spread vanishes, the normals of the
-    circular sections of each s (..., 3, 3); where s is a multiple of I,
-    every axis is one, and both rows are its top eigenvector."""
+    """Four axes (..., 4, 3) for each s (..., 3, 3): the two where the spread
+    vanishes, the normals of the circular sections of s, then its outer
+    eigenvectors v3 and v1, the limits of both kinks where s repeats an
+    eigenvalue.  Where s is a multiple of I, every axis is a kink, and the
+    first two rows are its top eigenvector."""
     sv, vec = np.linalg.eigh(s)
     w = np.sqrt(np.maximum(np.diff(sv, axis=-1), 0.0))
     w3, w1 = w[..., :1], w[..., 1:]
     w1 = w1 + (w1 + w3 == 0.0)  # 1 where s is isotropic: both rows are v1
     v1, v3 = w1 * vec[..., 2], w3 * vec[..., 0]
-    return np.stack([v1 + v3, v1 - v3], axis=-2) / np.hypot(w1, w3)[..., None]
+    kinks = np.stack([v1 + v3, v1 - v3], axis=-2) / np.hypot(w1, w3)[..., None]
+    return np.concatenate([kinks, np.swapaxes(vec[..., ::2], -1, -2)], axis=-2)
 
 
 def d1_exact(rho) -> float:
@@ -444,7 +451,8 @@ def d1_exact(rho) -> float:
 
 def _d1_exact(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d1_exact from Bloch vectors x (..., 3) and correlation matrices t
-    (..., 3, 3): the objective's minimum over the kinks and x - (x.v) v."""
+    (..., 3, 3): the objective's minimum over the kinks, the outer
+    eigenvectors of S and x - (x.v) v."""
     q = t @ np.swapaxes(t, -1, -2)
     vecs = np.swapaxes(np.linalg.eigh(q)[1], -1, -2)
     xr, xc = x[..., None, :], x[..., :, None]

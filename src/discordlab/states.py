@@ -170,9 +170,10 @@ def x_fields(m):
     """The X test of `to_x_state` over a stack (..., 4, 4) of matrices.
 
     Returns (is_x, fields): is_x marks the matrices `to_x_state` accepts
-    and fields (..., 6) holds (r11, r22, r33, r44, r14, r23) of every
-    matrix, the coherences' real parts clamped at 0.  The XState
-    invariants are not checked here.
+    and fields (..., 6) holds (r11, r22, r33, r44, |r14|, |r23|) of every
+    matrix: the coherences' moduli, as `measures.measure_batch` reads
+    them.  Off-pattern entries, up to TOL in an accepted matrix, are
+    dropped.  The XState invariants are not checked here.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (4, 4):
@@ -180,15 +181,17 @@ def x_fields(m):
     stray, coh, bad = _x_test(a)
     is_x = ~(np.any(stray, axis=(-2, -1)) | np.any(bad, axis=-1))
     diag = np.diagonal(a, axis1=-2, axis2=-1).real
-    return is_x, np.concatenate([diag, np.maximum(coh.real, 0.0)], axis=-1)
+    return is_x, np.concatenate([diag, np.abs(coh)], axis=-1)
 
 
 def to_x_state(m) -> XState:
     """Extract XState fields, rejecting anything outside the X class.
 
     Off-pattern entries above TOL, coherence imaginary parts above TOL,
-    or real coherences below -TOL raise NotXShaped; phases are never
-    silently absorbed.  The one-matrix case of `x_fields`.
+    or real coherences below -TOL raise NotXShaped: a phase or sign beyond
+    rounding is never silently absorbed.  Within those limits each
+    coherence is read by its modulus and the off-pattern entries are
+    dropped.  The one-matrix case of `x_fields`.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):

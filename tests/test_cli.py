@@ -7,8 +7,10 @@ counterexample.
 """
 
 import argparse
+import importlib.util
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -752,17 +754,65 @@ VALUES = {"--family": "classical", "--theta": "0.3", "--w": "0.25", "--s": "-0.5
           "--wcount": "-3", "state_file": "rho.state", "n": "7"}
 
 
-def full_command_lines():
+def full_command_lines(values=VALUES):
     """Command lines that set every option of every subcommand, spelled both
     `--opt v` and `--opt=v`, positionals first and last."""
     for command, (options, positionals) in sorted(ACCEPTED.items()):
         flags = sorted(options)
-        spaced = [s for o in flags for s in (o, VALUES[o])]
-        joined = [f"{o}={VALUES[o]}" for o in flags]
-        pos = [VALUES[p] for p in positionals]
+        spaced = [s for o in flags for s in (o, values[o])]
+        joined = [f"{o}={values[o]}" for o in flags]
+        pos = [values[p] for p in positionals]
         yield [command, *pos, *spaced]
         yield [command, *joined, *pos]
         yield [command, *spaced[:2], *pos, *joined[1:]]
+
+
+# tokens that no subcommand takes as an option: unknown, abbreviated, help,
+# the separator and other "-"-prefixed words
+ODD_TOKENS = ["--nope", "--poin", "--fam", "--wc", "--out-file", "-h", "--help", "--", "-x", "-"]
+# values that fail a type or a choice, start with "-" or are not finite
+ODD_VALUES = ["nan", "NaN", "-nan", "inf", "-inf", "-0.5", "-1e-3", "-3", "1e400", "x", "",
+              "C", "theta", "3.5", " 2 ", "0x1", "--out", "-h"]
+ALL_OPTIONS = sorted(set().union(*(options for options, _ in ACCEPTED.values())))
+CORPUS_LINES = 10_000
+
+
+def random_command_line(rng):
+    """A seeded random command line: mostly a subcommand with its own options
+    and positionals in random order, with a share of odd tokens, odd values,
+    options of other subcommands, repeats, and missing or extra positionals."""
+    command = rng.choice(sorted(ACCEPTED))
+    options, positionals = ACCEPTED[command]
+    plain = [VALUES[p] for p in positionals] or ["rho.state"]
+    count = len(positionals) if rng.random() < 0.85 else rng.randrange(3)  # or missing, extra
+    groups = [[plain[0]] for _ in range(count)]
+    for _ in range(rng.randrange(7)):
+        pick = rng.random()
+        option = (rng.choice(sorted(options)) if pick < 0.85 and options
+                  else rng.choice(ALL_OPTIONS) if pick < 0.93 else rng.choice(ODD_TOKENS))
+        value = rng.choice(ODD_VALUES) if rng.random() < 0.1 else VALUES.get(option, "1")
+        groups.append([f"{option}={value}"] if rng.random() < 0.4 else [option, value])
+    rng.shuffle(groups)
+    argv = [command] + [token for group in groups for token in group]
+    if rng.random() < 0.03:
+        argv = argv[1:]  # no subcommand first
+    elif rng.random() < 0.03:
+        argv = argv[:-1]  # a value or positional cut off
+    return argv
+
+
+def namespace_key(ns):
+    """vars(ns) with each value as its type and repr, so that NaN equals NaN."""
+    return None if ns is None else {k: (type(v), repr(v)) for k, v in vars(ns).items()}
+
+
+def full_parse(argv, capsys):
+    """Exit code, namespace key and output of `_parser().parse_args(argv)`."""
+    try:
+        ns, code = cli._parser().parse_args(argv), 0
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    return code, namespace_key(ns), capsys.readouterr()
 
 
 @pytest.fixture
@@ -780,12 +830,71 @@ def captured_namespaces(monkeypatch):
     cli._subcommands.cache_clear()
 
 
-def test_main_parses_as_the_full_parser(captured_namespaces):
+@pytest.fixture
+def argparse_calls(monkeypatch):
+    """The arguments of every `ArgumentParser.parse_known_args` call, which
+    every parse by argparse, full parser or subparser, goes through."""
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        calls.append(args)
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return calls
+
+
+def test_main_parses_as_the_full_parser(captured_namespaces, argparse_calls, capsys):
     lines = list(full_command_lines())
     for argv in lines + [[command] for command in ("critical", "sweep")]:
         assert main(argv) == 0, argv
         assert captured_namespaces.pop() == cli._parser().parse_args(argv), argv
     assert len(lines) == 3 * len(ACCEPTED)
+
+    # exit code, namespace and output agree on every line of a seeded corpus,
+    # whichever route main takes
+    rng = random.Random(0)
+    read = 0
+    for _ in range(CORPUS_LINES):
+        argv = random_command_line(rng)
+        calls = len(argparse_calls)
+        code = main(argv)
+        read += len(argparse_calls) == calls  # the reader took the line
+        ns = captured_namespaces.pop() if captured_namespaces else None
+        got = code, namespace_key(ns), capsys.readouterr()
+        assert got == full_parse(argv, capsys), argv
+    assert not captured_namespaces
+    # both routes carry a real share of the corpus
+    assert 0.3 * CORPUS_LINES < read < 0.7 * CORPUS_LINES, read
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def workload_command_lines(monkeypatch, work):
+    """The command lines of the benchmark's two CLI workloads, as
+    perfbench/workloads.py builds them (its seeded inputs go to `work`)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    for name in ("reference", "workloads"):  # workloads imports reference by name
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    build, modules = sys.modules["workloads"].build, {"cli": cli, "dynamics": dynamics}
+    return [op.argv for workload in ("x-family", "non-x")
+            for op in build(workload, 0, str(work), modules) if hasattr(op, "argv")]
+
+
+def test_plain_lines_skip_argparse(captured_namespaces, argparse_calls, monkeypatch, tmp_path):
+    plain = {key: value.lstrip("-") for key, value in VALUES.items()}
+    lines = list(full_command_lines(plain)) + workload_command_lines(monkeypatch, tmp_path)
+    assert {argv[0] for argv in lines} == set(ACCEPTED)
+    for argv in lines:
+        assert main(argv) == 0, argv
+    assert argparse_calls == []
+    for argv, ns in zip(lines, captured_namespaces, strict=True):
+        assert ns == cli._parser().parse_args(argv), argv
 
 
 def full_parser_exit(argv, capsys):

@@ -320,6 +320,31 @@ def test_d1_exact_degenerate_cases():
         assert abs(d1_exact(np.outer(psi, psi.conj())) - concurrence) < 1e-12
 
 
+def test_d1_exact_near_zeros_of_d1_under_local_unitaries():
+    # discordant states with w > 1/4 evolved on side A to gamma0 t = ln(4w),
+    # where D1 is zero, and to 1e-12, 1e-9 and 1e-6 of it: there the top two
+    # eigenvalues of S differ by D1^2, at or near rounding level, so the
+    # kinks computed from that gap lean about 1e-8 off the true ones
+    rng = np.random.default_rng(0)
+    members = [families.FamilyParams("discordant", w=0.4, s=0.2)]  # figure 5
+    for w in rng.uniform(0.26, 0.49, 19):
+        members.append(families.FamilyParams("discordant", w=w,
+                                             s=rng.uniform(0.05, 1.0) * families.s_max(w)))
+    rhos, want = [], []
+    for k, p in enumerate(members):
+        for offset in (0.0, 1e-12, -1e-9, 1e-6):
+            gt = np.log(4.0 * p.w) * (1.0 + offset)
+            rho = dynamics.evolve_states(families.make_state(p), "A", np.array([gt]), 1.0)[0]
+            u = linalg.kron(random_local_unitary(1000 + k), random_local_unitary(2000 + k))
+            rhos.append(u @ rho @ u.conj().T)
+            want.append(d1_closed_x(to_x_state(rho)))
+    got = np.array([d1_exact(rho) for rho in rhos])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    d1, _, _, route = measure_batch(np.array(rhos))
+    assert set(route) == {"exact"}
+    np.testing.assert_allclose(d1, want, rtol=0, atol=1e-14)
+
+
 def test_d1_exact_matches_x_kernel_under_local_phases():
     for seed in range(300):
         rho = sample_random_state(seed, "x-shaped")
@@ -585,6 +610,28 @@ def test_measure_batch_x_rows_take_the_closed_form_on_the_moduli():
             assert got == d1_closed_x(to_x_state(rho))
             kept += 1
     assert kept >= 100
+
+
+def test_to_x_state_reads_the_coherences_moduli():
+    # a coherence at -1e-11 or -1e-10, or with an imaginary part of 1e-11,
+    # lies within to_x_state's limits; to_x_state reads its modulus, as
+    # measure_batch does, so both routes give the same d1 bits
+    rows = []
+    for seed in range(100):
+        base = sample_random_state(seed, "x-shaped")
+        rows.append(base)
+        for j, k in ((0, 3), (1, 2)):
+            for v in (-1e-11, -1e-10, base[j, k] + 1e-11j):
+                m = base.copy()
+                m[j, k], m[k, j] = v, np.conj(v)
+                rows.append(m)
+    d1, _, _, route = measure_batch(np.array(rows))
+    assert set(route) == {"closed-x"}
+    for rho, got in zip(rows, d1):
+        xs = to_x_state(rho)
+        np.testing.assert_allclose([xs.r14, xs.r23], [abs(rho[0, 3]), abs(rho[1, 2])],
+                                   rtol=1e-15, atol=0)
+        assert d1_closed_x(xs) == got
 
 
 def exact_x_d2(rho):
