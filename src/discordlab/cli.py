@@ -22,7 +22,9 @@ positionals, is read from tables taken once from the subcommand parsers'
 actions (types, choices, defaults, `set_defaults`), into the namespace
 argparse would build.  Any other line goes to argparse: help, `--`, an
 unknown or abbreviated option, a value or positional starting with "-",
-a failed conversion or choice, a missing or extra positional.
+a failed conversion or choice, a missing or extra positional.  Each
+subcommand parser reads a "-"-prefixed number, exponent form included
+(`--s -1e-3`), as a value, not as an option.
 
 `measure`, `evolve` and `figure 1` hand all their states to
 `measures.measure_batch` in one call (`evolve` builds them with one
@@ -46,6 +48,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import stat
 import sys
 
@@ -391,6 +394,11 @@ def cmd_sweep(ns) -> int:
     return 0
 
 
+# what a subcommand parser reads as a negative value, not an option: argparse's
+# own pattern (-1, -.5, -0.25) with an optional exponent (-1e-3, -1E+2, -.5e-2)
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes the option groups it reads
     out = argparse.ArgumentParser(add_help=False)
@@ -408,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="discordlab", allow_abbrev=False,
                                      description="two-qubit discord measures under local emission")
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+
+    def add_parser(name, **kw):
+        p = sub.add_parser(name, allow_abbrev=False, **kw)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        return p
 
     p = add_parser("measure", parents=[out], help="measures of one state file")
     p.add_argument("state_file", help="16-line re,im state file")

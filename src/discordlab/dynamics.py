@@ -22,11 +22,14 @@ the generator as one real 16x16 matrix on vec(rho), the rate times a
 unit-rate generator built once per side at import.  `integrate` is
 fixed-step RK4 on the master equation, taken as the n-th power of the
 one-step propagator, and exists as an independent cross-check of the
-channel, not as the production path.
+channel, not as the production path.  That power depends only on the
+side, the rate, the step and the step count, so a bounded cache keeps
+it (`_propagator`) and a repeated call reuses it, with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +167,24 @@ def lindblad_rhs(rho, side: str, gamma0: float = 1.0) -> np.ndarray:
     return (_liouvillian(side, gamma0) @ _as_state(rho).reshape(16)).reshape(4, 4)
 
 
+# cached step-propagator powers, 2 KB each; one trajectory uses one or two
+_PROPAGATORS = 32
+
+
+@functools.lru_cache(maxsize=_PROPAGATORS)
+def _propagator(side: str, gamma0: float, h: float, count: int) -> np.ndarray:
+    """P(h)^count, the RK4 step propagator of `side` at rate gamma0 raised
+    to `count` by repeated squaring: a read-only real (16, 16) matrix."""
+    lv = _liouvillian(side, gamma0)
+    eye = np.eye(16)
+    prop = eye  # Horner: P(h) = I + hL (I + hL/2 (I + hL/3 (I + hL/4)))
+    for k in (4, 3, 2, 1):
+        prop = eye + (h / k) * (lv @ prop)
+    power = np.linalg.matrix_power(prop, count)
+    power.flags.writeable = False
+    return power
+
+
 def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     """Fixed-step RK4 integration of the master equation up to t_final.
 
@@ -172,9 +193,11 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     P(h)^n: stepwise RK4 in exact arithmetic.  P(dt)^n is taken by
     repeated squaring and applied to vec(rho0), then P(rem) for a
     remainder step; the state is symmetrized once and validated (drift
-    beyond 1e-8 raises NotPositive).  A non-finite t_final or step count
-    t_final/dt, a dt not positive and finite, or a dt above 0.1/gamma0 is
-    rejected first.
+    beyond 1e-8 raises NotPositive).  Both powers come from `_propagator`,
+    a bounded cache keyed by side, rate, step and count, so a repeated
+    call skips the squaring and gives the same bits.  A non-finite
+    t_final or step count t_final/dt, a dt not positive and finite, or a
+    dt above 0.1/gamma0 is rejected first, so no rejected value is a key.
     """
     if not np.isfinite(t_final):
         raise InvalidTime(f"t_final must be finite, got {t_final!r}")
@@ -187,15 +210,10 @@ def integrate(rho0, side: str, gamma0: float, t_final: float, dt: float = 1e-3):
     if not np.isfinite(steps):
         raise InvalidTime(f"step count t_final / dt must be finite, "
                           f"got t_final={t_final!r}, dt={dt!r}")
-    lv = _liouvillian(side, gamma0)
-    eye = np.eye(16)
     n_full = int(np.floor(steps))
     rem = t_final - n_full * dt
     vec = _as_state(rho0).reshape(16)
     for h, count in [(dt, n_full)] + ([(rem, 1)] if rem > 1e-15 else []):
-        prop = eye  # Horner: P(h) = I + hL (I + hL/2 (I + hL/3 (I + hL/4)))
-        for k in (4, 3, 2, 1):
-            prop = eye + (h / k) * (lv @ prop)
-        vec = np.linalg.matrix_power(prop, count) @ vec
+        vec = _propagator(side, float(gamma0), float(h), count) @ vec
     rho = vec.reshape(4, 4)
     return states.validate(0.5 * (rho + rho.conj().T), tol=1e-8)

@@ -922,6 +922,34 @@ def test_main_usage_errors_match_the_full_parser(argv, capsys):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--family", "classical", "--w", "0.25", "--s", "-1e-3"],
+    ["sweep", "--wmin", "-1e-3", "--wcount", "2"],
+    ["evolve", "--family", "theta", "--theta", "-1e-3"],
+    ["figure", "2", "--gamma0", "-1e-3"],
+], ids=["evolve-s", "sweep-wmin", "evolve-theta", "figure-gamma0"])
+def test_negative_exponent_values_reach_the_domain_checks(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # figure would write fig2.csv here
+    i = argv.index("-1e-3")
+    joined = [*argv[:i - 1], f"{argv[i - 1]}=-1e-3", *argv[i + 1:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "") and err.startswith("error: ") and "must" in err, err
+    assert (code, out, err) == run_cli(capsys, *joined)
+
+
+def test_negative_exponent_values_parse_as_their_joined_spelling(captured_namespaces, capsys):
+    head = ["evolve", "--family", "classical", "--w", "0.25"]
+    for value in ("-1e-3", "-1E+2", "-.5e-2"):
+        assert main([*head, "--s", value]) == 0
+        assert main([*head, f"--s={value}"]) == 0
+    assert captured_namespaces[0::2] == captured_namespaces[1::2]
+    assert [ns.s for ns in captured_namespaces[0::2]] == [-1e-3, -100.0, -0.005]
+    # a "-"-prefixed token that is not a number is still an option
+    for token in ("-1e", "-e3", "-x"):
+        assert main([*head, "--s", token]) == 2
+        assert "argument --s: expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

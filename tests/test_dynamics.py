@@ -1,6 +1,7 @@
 """Emission channels: the elementwise map against the Kraus sum, element
 tables, the Lindblad generator against its operator sum, the RK4
-cross-check against stepwise RK4, and asymptotic states."""
+cross-check against stepwise RK4 and its cached propagators against
+uncached ones, and asymptotic states."""
 
 import re
 import tracemalloc
@@ -321,6 +322,69 @@ def test_integrate_examples():
     for dt in (0.0, -1e-3, np.inf, float("nan")):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             integrate(rho, "A", 1.0, 1.0, dt=dt)
+
+
+def _uncached_integrate(rho0, side, gamma0, t_final, dt):
+    """integrate's steps with the propagator powers rebuilt on every call."""
+    lv = dynamics._liouvillian(side, gamma0)
+    eye = np.eye(16)
+    n_full = int(np.floor(t_final / dt + 1e-12))
+    rem = t_final - n_full * dt
+    vec = np.asarray(rho0, dtype=complex).reshape(16)
+    for h, count in [(dt, n_full)] + ([(rem, 1)] if rem > 1e-15 else []):
+        prop = eye
+        for k in (4, 3, 2, 1):
+            prop = eye + (h / k) * (lv @ prop)
+        vec = np.linalg.matrix_power(prop, count) @ vec
+    rho = vec.reshape(4, 4)
+    return states.validate(0.5 * (rho + rho.conj().T), tol=1e-8)
+
+
+def test_integrate_reuses_its_propagators_with_the_same_bits():
+    # t_final = 0.3337 leaves a remainder step at both dt; 1.0 leaves none
+    calls = [(side, gamma0, t_final, dt) for side in ("A", "B", "both")
+             for gamma0 in (1.0, 2.5, 1) for t_final in (1.0, 0.3337) for dt in (1e-3, 0.01)]
+    rhos = [sample_random_state(seed, "full-rank") for seed in range(3)]
+    rng = np.random.default_rng(7)
+    dynamics._propagator.cache_clear()
+    for _ in range(2):  # from an empty cache, then after it is cleared
+        for i in rng.permutation(2 * len(calls)):  # every call twice, interleaved
+            side, gamma0, t_final, dt = calls[i % len(calls)]
+            rho = rhos[i % 3]
+            got = integrate(rho, side, gamma0, t_final, dt=dt)
+            assert got.tobytes() == _uncached_integrate(rho, side, gamma0, t_final, dt).tobytes()
+        info = dynamics._propagator.cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize
+        dynamics._propagator.cache_clear()
+
+    # the int rate 1 shares the entries of 1.0
+    integrate(rhos[0], "A", 1.0, 0.3337)
+    before = dynamics._propagator.cache_info()
+    integrate(rhos[0], "A", 1, 0.3337)
+    after = dynamics._propagator.cache_info()
+    assert (after.currsize, after.hits) == (before.currsize, before.hits + 2)
+
+    # a returned state is the caller's, and the cached powers are read-only
+    out = integrate(rhos[1], "both", 1.0, 1.0)
+    ref = out.copy()
+    out[...] = 0.0
+    assert integrate(rhos[1], "both", 1.0, 1.0).tobytes() == ref.tobytes()
+    power = dynamics._propagator("both", 1.0, 1e-3, 1000)
+    assert not power.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        power[0, 0] = 1.0
+
+
+def test_integrate_rejects_before_the_cache():
+    rho = sample_random_state(0, "full-rank")
+    size = dynamics._propagator.cache_info().currsize
+    cases = [((1.0, float("nan")), {}, InvalidTime), ((1.0, np.inf), {}, InvalidTime),
+             ((float("nan"), 1.0), {}, ValueError), ((1.0, 1.0), {"dt": 0.2}, StepTooLarge),
+             ((2.0, 1.0), {"dt": 0.06}, StepTooLarge)]
+    for args, kw, error in cases:
+        with pytest.raises(error):
+            integrate(rho, "A", *args, **kw)
+        assert dynamics._propagator.cache_info().currsize == size, args
 
 
 def test_asymptotic_state_examples():
