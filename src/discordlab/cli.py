@@ -26,12 +26,16 @@ a failed conversion or choice, a missing or extra positional.  Each
 subcommand parser reads a "-"-prefixed number, exponent form included
 (`--s -1e-3`), as a value, not as an option.
 
-`measure`, `evolve` and `figure 1` hand all their states to
-`measures.measure_batch` in one call (`evolve` builds them with one
-`dynamics.evolve_states` call); figures 2-6 use the closed-form family
-series of `families`, `sweep` hands every member it keeps to one
-`families.regime` call, and `critical` prints its closed-form critical
-couplings.
+`measure` hands its state to `measures.measure_batch`.  Emission keeps
+the X pattern, so `evolve` from a state whose entries off it are exactly
+zero (the test of `measure_batch`) moves six fields with
+`dynamics._evolve_x` and measures them with `measures._closed_x`, the
+closed forms `measure_batch` applies to such rows; from any other state
+it hands one `dynamics.evolve_states` stack to `measure_batch`.
+`figure 1` hands the fields of its theta grid to `_closed_x`; figures
+2-6 use the closed-form family series of `families`, `sweep` hands every
+member it keeps to one `families.regime` call, and `critical` prints its
+closed-form critical couplings.
 
 All numeric output uses 17 significant digits ("%.17g") and line-feed
 endings, so identical invocations produce byte-identical files.
@@ -128,6 +132,8 @@ def fill_settings(ns):
     if hasattr(ns, "t_max"):  # sweep scans a fixed horizon instead
         if not 0.0 < ns.t_max < math.inf:
             raise ValueError(f"tmax must be positive and finite, got {ns.t_max!r}")
+        if not math.isfinite(ns.gamma0 * ns.t_max):  # the last time of every series
+            raise ValueError(f"gamma0 * tmax must be finite, got {ns.gamma0!r} * {ns.t_max!r}")
         if ns.n_points < 2:
             raise ValueError(f"points must be at least 2, got {ns.n_points!r}")
 
@@ -279,13 +285,18 @@ def write_rows(out_path, header, *columns):
     write them ("%.17g").  A table of at least `VECTOR_MIN_FIELDS` fields,
     all float, goes through `format_floats`; any other table through one %
     operation: one row template, repeated once per row, applied to the
-    values row by row.  Both write the same bytes.
+    values row by row, read from one float stack when every column is
+    float.  Both write the same bytes.
     """
     cols = [np.asarray(c) for c in columns]
-    if len(cols) * len(cols[0]) >= VECTOR_MIN_FIELDS and all(c.dtype.kind == "f" for c in cols):
-        body = format_floats(np.column_stack(cols)).decode("ascii")
+    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in cols) + "\n"
+    if all(c.dtype.kind == "f" for c in cols):
+        table = np.column_stack(cols)
+        if table.size >= VECTOR_MIN_FIELDS:
+            body = format_floats(table).decode("ascii")
+        else:
+            body = (row * len(table)) % tuple(table.ravel().tolist())
     else:
-        row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in cols) + "\n"
         body = (row * len(cols[0])) % tuple(np.array(cols, dtype=object).T.ravel().tolist())
     write_text(out_path, header + "\n" + body)
 
@@ -326,7 +337,10 @@ def cmd_evolve(ns) -> int:
     fill_settings(ns)
     rho0 = _initial_state(ns)
     t = np.linspace(0.0, ns.t_max, ns.n_points)
-    d1, d2, neg, _ = measures.measure_batch(dynamics.evolve_states(rho0, ns.side, t, ns.gamma0))
+    if rho0.ravel()[measures._OFF_X].any():  # measure_batch's test: not an X state
+        d1, d2, neg, _ = measures.measure_batch(dynamics.evolve_states(rho0, ns.side, t, ns.gamma0))
+    else:  # the channel keeps the X pattern: six fields per time, no 4x4 stack
+        d1, d2, neg = measures._closed_x(*dynamics._evolve_x(rho0, ns.side, t, ns.gamma0))
     write_rows(ns.out, EVOLVE_HEADER, ns.gamma0 * t, d1, d2, np.sqrt(d2), neg)
     return 0
 
@@ -334,7 +348,8 @@ def cmd_evolve(ns) -> int:
 def _figure_columns(ns):
     if ns.n == 1:
         theta = np.linspace(0.0, np.pi / 2, ns.n_points)
-        d1, d2, neg, _ = measures.measure_batch(families.theta_states(theta))
+        el = families._theta_elements(theta)  # real coherences: their moduli are |r14|, |r23|
+        d1, d2, neg = measures._closed_x(np.stack(el[:4]), np.abs(el[4:]))
         return theta, neg, np.sqrt(d2), d1
     family, w, s = FIGURE_STATES[ns.n]
     p = families.FamilyParams(family, w=w, s=s)

@@ -17,7 +17,12 @@ and columns by sqrt(1-p), and each jump moves the decaying atom's
 |e><e| block, scaled by sqrt(p), onto its |g><g| block.  No Kraus
 operator is built, yet the result equals the Kraus sum to the bit (up
 to the sign of zeros), because the products and sums are taken in the
-same order.  `apply_channel` is its one-time case.  `lindblad_rhs` is
+same order.  `apply_channel` is its one-time case.  The channel keeps
+an X state an X state, so `_evolve_x` moves only the four populations and
+the two coherences of one, with the same products and sums, and returns
+what the closed X forms of `measures` read: the populations and the
+coherences' moduli.  Both take the channel check and the factors
+sqrt(1-p), sqrt(p) from `_factors`.  `lindblad_rhs` is
 the generator as one real 16x16 matrix on vec(rho), the rate times a
 unit-rate generator built once per side at import.  `integrate` is
 fixed-step RK4 on the master equation, taken as the n-th power of the
@@ -91,6 +96,15 @@ def _as_state(rho) -> np.ndarray:
     return a
 
 
+def _factors(side: str, times, gamma0: float):
+    """The no-jump and jump amplitudes k = sqrt(1 - p) and j = sqrt(p),
+    p = 1 - exp(-gamma0 t), at every t in times, once the channel is checked."""
+    t = np.asarray(times, dtype=float).reshape(-1)
+    _check_channel(side, gamma0, float(t.min(initial=0.0)))
+    p = 1.0 - np.exp(-gamma0 * t)
+    return np.sqrt(1.0 - p), np.sqrt(p)
+
+
 def _scaled(block: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(block * c_i) * c_j at every time: rows scaled first, then columns; c is (n, m)."""
     return (block * c[:, :, None]) * c[:, None, :]
@@ -106,14 +120,10 @@ def evolve_states(rho, side: str, times, gamma0: float = 1.0) -> np.ndarray:
     |g>.  The products and sums are taken in the order of the Kraus sum,
     so the result equals it (up to the sign of zero entries).
     """
-    t = np.asarray(times, dtype=float).reshape(-1)
-    _check_channel(side, gamma0, float(t.min(initial=0.0)))
+    k, j = _factors(side, times, gamma0)
     rho = _as_state(rho)
-    p = 1.0 - np.exp(-gamma0 * t)
-    k = np.sqrt(1.0 - p)
-    j = np.sqrt(p)
     # complex factors, so that no product below casts on the fly
-    d = np.ones((len(t), 4), dtype=complex)  # diagonal of the no-jump Kraus product
+    d = np.ones((len(k), 4), dtype=complex)  # diagonal of the no-jump Kraus product
     if side == "A":
         d[:, 0] = d[:, 1] = k
         out = _scaled(rho, d)
@@ -126,7 +136,7 @@ def evolve_states(rho, side: str, times, gamma0: float = 1.0) -> np.ndarray:
         d[:, 0] = k * k
         d[:, 1] = d[:, 2] = k
         out = _scaled(rho, d)
-        c = np.empty((len(t), 2), dtype=complex)
+        c = np.empty((len(k), 2), dtype=complex)
         c[:, 0] = k * j  # the A jump's factor j*k is the same double
         c[:, 1] = j
         out[:, 1::2, 1::2] += _scaled(rho[::2, ::2], c)
@@ -134,6 +144,40 @@ def evolve_states(rho, side: str, times, gamma0: float = 1.0) -> np.ndarray:
         jj = j * j
         out[:, 3, 3] += (rho[0, 0] * jj) * jj
     return out
+
+
+def _evolve_x(rho, side: str, times, gamma0: float = 1.0):
+    """Populations (4, n) and coherence moduli |r14|, |r23| (2, n) of
+    `evolve_states(rho, side, times, gamma0)` for an X-pattern rho.
+
+    The channel keeps the X pattern, so only the four populations and the
+    two coherences move.  Each takes the products and sums of
+    `evolve_states` in its order; the factors' imaginary parts are zero,
+    so the real products here give the real parts it computes, and the
+    coherences keep their complex products.  The result is the same to
+    the bit, up to the sign of zeros, which no measure reads.
+    """
+    k, j = _factors(side, times, gamma0)
+    rho = _as_state(rho)
+    r11, r22, r33, r44 = rho.diagonal().real
+    r14, r23 = rho[0, 3], rho[1, 2]
+    diag = np.empty((4, len(k)))
+    if side == "A":
+        diag[0], diag[1] = (r11 * k) * k, (r22 * k) * k
+        diag[2], diag[3] = r33 + (r11 * j) * j, r44 + (r22 * j) * j
+        coh = (r14 * k, r23 * k)
+    elif side == "B":
+        diag[0], diag[1] = (r11 * k) * k, r22 + (r11 * j) * j
+        diag[2], diag[3] = (r33 * k) * k, r44 + (r33 * j) * j
+        coh = (r14 * k, r23 * k)
+    else:
+        kk, kj, jj = k * k, k * j, j * j
+        jump = (r11 * kj) * kj  # the A jump onto r33 and the B jump onto r22
+        diag[0] = (r11 * kk) * kk
+        diag[1], diag[2] = (r22 * k) * k + jump, (r33 * k) * k + jump
+        diag[3] = ((r44 + (r33 * j) * j) + (r22 * j) * j) + (r11 * jj) * jj
+        coh = (r14 * kk, (r23 * k) * k)
+    return diag, np.abs(coh)
 
 
 def apply_channel(rho, ch: EmissionChannel) -> np.ndarray:

@@ -3,9 +3,11 @@
 `measure_batch` is the one measure pipeline.  For a stack of states it
 reads each state's diagonal, coherences and off-pattern entries once.  It
 takes D1, D2 and the negativity of every X-pattern state (off-pattern
-entries exactly zero, coherences of any phase) in closed form, and those
-of the other states from one Bloch decomposition, one `d1_exact` pass
-and one batched eigensolve.
+entries exactly zero, coherences of any phase) in closed form, from the
+populations and the coherences' moduli (`_closed_x`, which the CLI also
+calls on X states it evolves or builds as fields), and those of the
+other states from one Bloch decomposition, one `d1_exact` pass and one
+batched eigensolve.
 `d2_closed` and `negativity` stay the general eigensolver forms, and
 `d1_exact` is the one-state case of its D1 route.
 
@@ -122,9 +124,10 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 _CAP_COS = np.cos(np.radians(20.0))  # the d1 oracle's second start lies outside this cap
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i + 2 (mod 3), for n x e
-# flat row-major indices of r14, r23 and the eight entries off the X pattern,
-# the ten entries that decide the route of measure_batch
-_READ = np.concatenate([[3, 6], np.flatnonzero(~states._X_PATTERN)])
+# flat row-major indices of the eight entries off the X pattern, and with
+# r14 and r23 ahead of them, the ten entries that decide the route of measure_batch
+_OFF_X = np.flatnonzero(~states._X_PATTERN)
+_READ = np.concatenate([[3, 6], _OFF_X])
 
 
 def _d2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -158,6 +161,13 @@ def _x_negativity(diag: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return 2.0 * (0.0 - (low[0] + low[1]))
 
 
+def _closed_x(diag: np.ndarray, mod: np.ndarray):
+    """d1, d2 and negativity of X-pattern states from their populations
+    diag (4, n) and the moduli mod (2, n) of their coherences r14, r23."""
+    a1, a2, a3, x, b = _x_kernel_args(*diag[:3], *mod)
+    return d1_x_kernel(a1, a2, a3, x, b), d2_x_kernel(a1, a2, a3, x), _x_negativity(diag, mod)
+
+
 def measure_batch(rhos):
     """d1, d2, negativity and the d1 route of every state in a stack (n, 4, 4).
 
@@ -179,10 +189,7 @@ def measure_batch(rhos):
     if on.any():
         # the closed forms on every row, cheaper than picking rows out; the
         # rows off the X pattern are overwritten below
-        mod = size[:, :2].T
-        a1, a2, a3, x, b = _x_kernel_args(*diag[:3], *mod)
-        d1[:], d2[:] = d1_x_kernel(a1, a2, a3, x, b), d2_x_kernel(a1, a2, a3, x)
-        neg[:] = _x_negativity(diag, mod)
+        d1[:], d2[:], neg[:] = _closed_x(diag, size[:, :2].T)
     off = ~on
     if off.any():
         bd = states.bloch(a[off])

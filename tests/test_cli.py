@@ -251,6 +251,30 @@ def test_evolve_full_rank_state_file(tmp_path, capsys):
         assert float(row[4]) == measures.negativity(evolved)
 
 
+def test_evolve_builds_a_state_stack_only_off_the_x_pattern(tmp_path, capsys, monkeypatch):
+    stacks = []
+
+    def spy(*args, **kwargs):
+        stacks.append(args[1])
+        return evolve_states(*args, **kwargs)
+
+    evolve_states = dynamics.evolve_states
+    monkeypatch.setattr(dynamics, "evolve_states", spy)
+    phased = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
+    phased[0, 3], phased[1, 2] = 0.1 * np.exp(0.9j), -0.05 * np.exp(-0.4j)
+    phased[3, 0], phased[2, 1] = np.conj(phased[0, 3]), np.conj(phased[1, 2])
+    states.write_state_file(tmp_path / "x.txt", phased)
+    states.write_state_file(tmp_path / "r.txt", states.sample_random_state(4, "full-rank"))
+    for side in ("A", "B", "both"):
+        for source in (("--family", "theta", "--theta", "0.7"), (str(tmp_path / "x.txt"),)):
+            code, out, _ = run_cli(capsys, "evolve", *source, "--side", side, "--points", "11")
+            assert (code, out.count("\n"), stacks) == (0, 12, [])
+        code, out, _ = run_cli(capsys, "evolve", str(tmp_path / "r.txt"),
+                               "--side", side, "--points", "11")
+        assert (code, out.count("\n"), stacks) == (0, 12, [side])
+        stacks.clear()
+
+
 def test_evolve_requires_exactly_one_source(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evolve", "--tmax", "1")
     assert code == 2 and "error:" in err
@@ -305,6 +329,17 @@ def test_figure_1_quarter_pi_row(tmp_path, capsys):
     d1c, sqc, negc = column(rows, 3), column(rows, 2), column(rows, 1)
     assert np.all(d1c >= sqc - 1e-9)
     assert np.all(sqc >= negc - 1e-9)
+
+
+def test_figure_1_columns_are_those_of_the_theta_stack():
+    for points in (2, 201, 1001):
+        ns = argparse.Namespace(n=1, n_points=points)
+        theta, neg, root, d1 = cli._figure_columns(ns)
+        want = measures.measure_batch(families.theta_states(theta))
+        assert np.array_equal(theta, np.linspace(0.0, np.pi / 2, points))
+        assert d1.tobytes() == want[0].tobytes()
+        assert root.tobytes() == np.sqrt(want[1]).tobytes()
+        assert neg.tobytes() == want[2].tobytes()
 
 
 def test_figure_default_file_name(tmp_path, capsys, monkeypatch):
@@ -676,20 +711,28 @@ def test_bad_numeric_flags(capsys):
 
 def test_non_finite_gamma0_and_tmax_exit_4(tmp_path, capsys):
     family = ("--family", "classical", "--w", "0.25", "--s", "0.25")
+    figure = ("--points", "3", "--out", str(tmp_path / "f.csv"))
+    # each finite on its own, but gamma0 * tmax overflows (tmax defaults to 5)
+    product = "error: gamma0 * tmax must be finite"
     cases = [
-        (("figure", "2", "--points", "3", "--out", str(tmp_path / "f.csv")), "gamma0", "inf"),
-        (("sweep", "--wcount", "2"), "gamma0", "nan"),
-        (("evolve", *family, "--points", "3"), "gamma0", "-inf"),
-        (("evolve", *family, "--points", "3"), "tmax", "nan"),
-        (("figure", "4", "--points", "3", "--out", str(tmp_path / "f.csv")), "tmax", "inf"),
+        (("figure", "2", *figure), {"gamma0": "inf"}, "error: gamma0 must be positive and finite"),
+        (("sweep", "--wcount", "2"), {"gamma0": "nan"}, "error: gamma0 must be positive and finite"),
+        (("evolve", *family, "--points", "3"), {"gamma0": "-inf"},
+         "error: gamma0 must be positive and finite"),
+        (("evolve", *family, "--points", "3"), {"tmax": "nan"}, "error: tmax must be positive and finite"),
+        (("figure", "4", *figure), {"tmax": "inf"}, "error: tmax must be positive and finite"),
+        (("evolve", *family, "--points", "3"), {"gamma0": "1e308"}, product),
+        (("evolve", *family, "--points", "3"), {"gamma0": "10", "tmax": "1e308"}, product),
+        (("figure", "2", *figure), {"gamma0": "1e308"}, product),
     ]
     cfg = tmp_path / "run.cfg"
-    for argv, option, value in cases:
-        cfg.write_text(f"{option} = {value}\n")
-        for source in ((f"--{option}={value}",), ("--config", str(cfg))):
+    for argv, settings, message in cases:
+        cfg.write_text("".join(f"{option} = {value}\n" for option, value in settings.items()))
+        flags = tuple(f"--{option}={value}" for option, value in settings.items())
+        for source in (flags, ("--config", str(cfg))):
             code, out, err = run_cli(capsys, *argv, *source)
             assert (code, out) == (4, ""), (argv, source, err)
-            assert f"error: {option} must be positive and finite" in err
+            assert message in err and err.count("\n") == 1, (argv, source, err)
 
 
 # the long options and positional arguments each subcommand reads, and no more

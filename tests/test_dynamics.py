@@ -142,6 +142,59 @@ def test_evolve_states_builds_no_kraus_stacks():
         assert peak < 1_000_000, (side, peak)
 
 
+def _phased_x_states(seed, count):
+    """Seeded X states, their coherences at random phases and up to their
+    positivity limit, then X states with zero populations, zero coherences
+    and -0.0 entries, on and off the pattern."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        pops = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+        rho = np.diag(pops).astype(complex)
+        rho[0, 3] = rng.uniform() * np.sqrt(pops[0] * pops[3]) * np.exp(1j * rng.uniform(0, 6.3))
+        rho[1, 2] = rng.uniform() * np.sqrt(pops[1] * pops[2]) * np.exp(1j * rng.uniform(0, 6.3))
+        rho[3, 0], rho[2, 1] = rho[0, 3].conjugate(), rho[1, 2].conjugate()
+        out.append(rho)
+    for pops in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.5, -0.0, 0.5, 0.0),
+                 (0.0, 0.5, 0.5, -0.0), (0.25, 0.25, 0.25, 0.25)):
+        out.append(np.diag(pops).astype(complex))
+    signed = np.full((4, 4), complex(-0.0, -0.0))
+    np.fill_diagonal(signed, [0.5, -0.0, 0.0, 0.5])
+    signed[0, 3], signed[3, 0] = complex(-0.0, 0.5), complex(-0.0, -0.5)
+    signed[1, 2], signed[2, 1] = complex(0.0, -0.0), complex(-0.0, 0.0)
+    out.append(signed)
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[1, 1] = bell[2, 2] = 0.5
+    bell[1, 2] = bell[2, 1] = -0.5
+    out.append(bell)
+    return out
+
+
+def test_evolve_x_gives_the_measures_of_the_stack_to_the_bit():
+    # the field route against measure_batch on the evolved 4x4 stack, t = 0 included
+    grids = (np.linspace(0.0, 6.0, 257), np.array([0.0]), np.array([0.0, 1e-300, 40.0, np.inf]))
+    x_family = [sample_random_state(seed, family)
+                for family in ("x-shaped", "bell-diagonal") for seed in range(20)]
+    for n, rho in enumerate(_phased_x_states(7, 60) + x_family):
+        for side in ("A", "B", "both"):
+            for gamma0 in (0.3, 1.0, 2.9):
+                for t in grids:
+                    want = measures.measure_batch(evolve_states(rho, side, t, gamma0))
+                    assert list(want[3]) == ["closed-x"] * len(t)
+                    got = measures._closed_x(*dynamics._evolve_x(rho, side, t, gamma0))
+                    for name, a, b in zip(("d1", "d2", "neg"), got, want):
+                        assert a.tobytes() == b.tobytes(), (n, side, gamma0, len(t), name)
+
+
+def test_evolve_x_checks_the_channel_as_evolve_states_does():
+    rho = np.eye(4, dtype=complex) / 4
+    for args, error in ((("C", [1.0]), ValueError), (("A", [0.0, -0.1]), InvalidTime),
+                        (("A", [np.nan]), InvalidTime), (("A", [1.0], 0.0), ValueError)):
+        for fn in (evolve_states, dynamics._evolve_x):
+            with pytest.raises(error):
+                fn(rho, *args)
+
+
 def test_apply_channel_identity_at_t0():
     for seed in range(5):
         rho = sample_random_state(seed, "full-rank")
